@@ -141,15 +141,30 @@ Status ValidateMergeStageCounters(const QueryStream& stream,
     return Status::Internal("merge stage counters violated: query " +
                             std::to_string(stream.id) + " " + what);
   };
-  // With a reorder buffer between head and monitor this holds at step
-  // boundaries (the buffer always drains on Flush); validators run there.
-  if (stream.monitor->stats().tuples_in != merge_head.stats().tuples_out) {
-    return fail("merge head emits do not all reach the monitor");
-  }
-  if (stream.sink->stats().tuples_in != stream.monitor->stats().tuples_out) {
-    return fail("monitor emits do not all reach the sink");
+  // Every stage edge up to the sink: what one operator emits, the next
+  // receives. The reorder buffer sits at the head, so this holds between
+  // any two pushes, not only at step boundaries.
+  const ops::Operator* op = &merge_head;
+  while (op != stream.sink) {
+    if (op->outputs().size() != 1) {
+      return fail(op->name() + " does not feed exactly one stage operator");
+    }
+    const ops::Operator* next = op->outputs().front();
+    if (next->stats().tuples_in != op->stats().tuples_out) {
+      return fail(op->name() + " emits do not all reach " + next->name());
+    }
+    op = next;
   }
   return Status::OK();
+}
+
+const char* MergeStageLabel(const ops::Pipeline& merge_pipeline) {
+  for (const auto& op : merge_pipeline.operators()) {
+    if (op->kind() == ops::OperatorKind::kUnion) {
+      return "U";
+    }
+  }
+  return "Id";
 }
 
 Result<ops::Operator*> BuildMergeStage(
@@ -161,6 +176,17 @@ Result<ops::Operator*> BuildMergeStage(
   ops::Operator* merge_head = nullptr;
   ops::Operator* pre_monitor = nullptr;  // last operator before the monitor
   if (overlaps.size() >= 2) {
+    // Multi-cell merges interleave several upstream chains; the reorder
+    // buffer heads the stage and flushes each processing step in
+    // canonical (t, id) order, so delivery order is identical on every
+    // execution path and shard count, and U (which only forwards and
+    // counts) runs once per query per step. Pipelines flush in insertion
+    // order: the buffer, added first, releases into U before U, the
+    // monitor and the sink flush. Single-cell streams skip both: one
+    // chain is already time-ordered.
+    CRAQR_ASSIGN_OR_RETURN(
+        auto reorder_owned, ops::ReorderOperator::Make(base.str() + "-order"));
+    merge_head = pipeline->Add(std::move(reorder_owned));
     std::vector<geom::Rect> pieces;
     pieces.reserve(overlaps.size());
     for (const auto& overlap : overlaps) {
@@ -169,17 +195,9 @@ Result<ops::Operator*> BuildMergeStage(
     CRAQR_ASSIGN_OR_RETURN(
         auto union_owned,
         ops::UnionOperator::Make(base.str() + "-union", std::move(pieces)));
-    merge_head = pipeline->Add(std::move(union_owned));
-    // Multi-cell merges interleave several upstream chains; the reorder
-    // buffer flushes each processing step in canonical (t, id) order so
-    // delivery order is identical on every execution path and shard
-    // count. Single-cell streams skip it: one chain is already
-    // time-ordered.
-    CRAQR_ASSIGN_OR_RETURN(
-        auto reorder_owned, ops::ReorderOperator::Make(base.str() + "-order"));
-    ops::ReorderOperator* reorder = pipeline->Add(std::move(reorder_owned));
-    merge_head->AddOutput(reorder);
-    pre_monitor = reorder;
+    ops::UnionOperator* union_op = pipeline->Add(std::move(union_owned));
+    merge_head->AddOutput(union_op);
+    pre_monitor = union_op;
   } else {
     CRAQR_ASSIGN_OR_RETURN(
         auto pass_owned, ops::PassThroughOperator::Make(base.str() + "-merge"));
@@ -1730,7 +1748,7 @@ std::string StreamFabricator::DescribeTopology() const {
   }
   for (const auto& [id, qs] : ordered_queries) {
     os << "Q" << id << ": " << qs->taps.size() << " cell stream(s) -> "
-       << (qs->merge_head->kind() == ops::OperatorKind::kUnion ? "U" : "Id")
+       << MergeStageLabel(qs->merge_pipeline)
        << " -> Mon -> Sink, rate=" << qs->stream.rate << " on "
        << qs->stream.region.ToString() << "\n";
   }

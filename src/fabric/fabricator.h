@@ -143,22 +143,28 @@ bool ViolationReplayLess(const ViolationReplayKey& a,
                          const ViolationReplayKey& b);
 
 /// \brief Counter conservation across a merge stage built by
-/// BuildMergeStage: everything the merge head emits reaches the monitor
-/// and everything the monitor forwards reaches the sink. Shared by both
+/// BuildMergeStage: along every stage edge from the merge head to the
+/// sink, everything one operator emits reaches the next. Shared by both
 /// ValidateInvariants implementations (no-op for partial streams, which
 /// have no monitor).
 Status ValidateMergeStageCounters(const QueryStream& stream,
                                   const ops::Operator& merge_head);
 
-/// \brief Builds a query's merge stage (paper Fig. 2(c)) into `pipeline`:
-/// a U operator over the per-cell overlap pieces (pass-through when the
-/// query touches a single cell), a reorder buffer restoring canonical
-/// (t, id) delivery order at step boundaries (multi-cell queries only —
-/// a single cell chain is already time-ordered), a delivered-rate monitor
-/// over the clipped region `stream->region`, and the user-facing sink.
-/// Sets the handle's monitor/sink pointers and returns the stage's input
-/// operator. Shared by StreamFabricator and the sharded runtime's router
-/// so the two execution paths cannot diverge — in content *or* order.
+/// \brief Topology label of a merge stage, read from its operators: "U"
+/// when the stage unions several cell streams, "Id" otherwise.
+const char* MergeStageLabel(const ops::Pipeline& merge_pipeline);
+
+/// \brief Builds a query's merge stage (paper Fig. 2(c)) into `pipeline`.
+/// A multi-cell query gets Ord -> U -> Mon -> Sink: a reorder buffer that
+/// collects the processing step and flushes it in canonical (t, id)
+/// order, the U operator over the per-cell overlap pieces, which
+/// therefore runs once per query per step on the sorted batch, a
+/// delivered-rate monitor over the clipped region `stream->region`, and
+/// the user-facing sink. A single-cell query gets Id -> Mon -> Sink: one
+/// cell chain is already time-ordered. Sets the handle's monitor/sink
+/// pointers and returns the stage's input operator. Shared by
+/// StreamFabricator and the sharded runtime's router so the two
+/// execution paths cannot diverge — in content *or* order.
 Result<ops::Operator*> BuildMergeStage(
     QueryStream* stream, ops::Pipeline* pipeline,
     const std::vector<geom::CellOverlap>& overlaps, double monitor_window,
@@ -542,7 +548,7 @@ class StreamFabricator {
   struct QueryState {
     QueryStream stream;
     ops::Pipeline merge_pipeline;
-    /// The operator per-cell streams feed into (U or pass-through).
+    /// The operator per-cell streams feed into (Ord or pass-through).
     ops::Operator* merge_head = nullptr;
     std::vector<Tap> taps;
   };

@@ -88,7 +88,12 @@ Status FlattenOperator::PushBatch(TupleBatch& batch) {
   // Column-copy the active rows into the estimation buffer, firing at
   // exactly the buffer boundaries the per-tuple path fires at. The
   // caller's storage is left in place (it may be shared across Partition
-  // ports).
+  // ports). A batch that leaves the buffer short of batch_size holds no
+  // firing boundary and is appended in one bulk copy.
+  if (buffer_.size() + batch.size() < config_.batch_size) {
+    buffer_.AppendActiveFrom(batch);
+    return Status::OK();
+  }
   Status status = Status::OK();
   batch.ForEachRaw([this, &status, &batch](std::uint32_t raw) {
     if (!status.ok()) {

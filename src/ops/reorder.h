@@ -16,11 +16,13 @@
 /// chains depends on dispatch order — historically chain-grouped in the
 /// in-process fabricator and time-sorted in the sharded runtime's
 /// collector. ReorderOperator removes that divergence at the source: it
-/// buffers everything pushed during a processing step and, at the
-/// step-boundary Flush(), emits one batch sorted by (point.t, id) — the
-/// canonical delivery order. Both execution paths build their merge stages
-/// through fabric::BuildMergeStage, so delivery order (not just content)
-/// is identical for every shard count, num_shards == 1 included.
+/// heads the merge stage (Ord -> U -> Mon -> Sink), buffers everything
+/// pushed during a processing step and, at the step-boundary Flush(),
+/// emits one batch sorted by (point.t, id) — the canonical delivery order.
+/// Everything downstream, U included, therefore runs once per query per
+/// step. Both execution paths build their merge stages through
+/// fabric::BuildMergeStage, so delivery order (not just content) is
+/// identical for every shard count, num_shards == 1 included.
 ///
 /// Tuple ids are unique, so (t, id) is a total order and the sort is
 /// deterministic; the stable sort additionally preserves arrival order on

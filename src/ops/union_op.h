@@ -25,10 +25,12 @@ namespace ops {
 
 /// \brief Stream-merging operator over adjacent regions.
 ///
-/// All upstream operators push into the same UnionOperator; tuples are
+/// Every upstream stream reaches the same UnionOperator; tuples are
 /// forwarded unchanged, so the output is the superposition of the input
 /// processes — which, for equal-rate processes on disjoint adjacent
-/// regions, is exactly P(lambda, union of regions).
+/// regions, is exactly P(lambda, union of regions). In a query's merge
+/// stage (fabric::BuildMergeStage) the cell streams meet in the reorder
+/// buffer first, so U receives one sorted batch per query per step.
 class UnionOperator final : public Operator {
  public:
   /// Validating factory; see the class comment for the region rule.

@@ -87,21 +87,67 @@ struct Frame {
   }
 };
 
-/// Exact log-likelihood in the normalised frame:
+/// One point's normalised features `phi` and the upper-triangle products
+/// `phi[i] * phi[j]` (j >= i, row-major) its Hessian terms scale. The
+/// products depend only on the point, so a fit forms them once.
+struct FeatureRow {
+  Vec4 phi;
+  std::array<double, 10> outer;
+};
+
+/// Exact log-likelihood in the normalised frame,
 /// `sum_i log(a . phi_i) - V * a0` (the integral of the linear intensity
-/// over the window is Volume * value-at-centroid = V * a0).
-/// Returns -inf when the intensity is non-positive at any point.
-double LogLikelihood(const std::vector<Vec4>& features, double volume,
-                     const Vec4& a) {
+/// over the window is Volume * value-at-centroid = V * a0), storing each
+/// point's intensity `a . phi_i` in `rates` for the derivative sums.
+/// Returns -inf when the intensity is non-positive at any point; with
+/// `stop_at_nonpositive` the pass ends there, leaving `rates` partial.
+double LogLikelihood(const std::vector<FeatureRow>& rows, double volume,
+                     const Vec4& a, bool stop_at_nonpositive, double* rates) {
   double ll = -volume * a[0];
-  for (const auto& phi : features) {
-    const double rate = Dot(a, phi);
+  bool nonpositive = false;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double rate = Dot(a, rows[i].phi);
+    rates[i] = rate;
     if (rate <= 0.0) {
-      return -std::numeric_limits<double>::infinity();
+      nonpositive = true;
+      if (stop_at_nonpositive) {
+        break;
+      }
+    } else {
+      ll += std::log(rate);
     }
-    ll += std::log(rate);
   }
-  return ll;
+  return nonpositive ? -std::numeric_limits<double>::infinity() : ll;
+}
+
+/// Gradient and negated Hessian `sum_i phi_i phi_i^T / rate_i^2` of the
+/// log-likelihood from the intensities LogLikelihood stored. Each Hessian
+/// term is `(phi[i] * phi[j]) * inv2` as if formed per evaluation; the
+/// upper triangle is summed in point order and mirrored, which is exact
+/// since `phi[i] * phi[j] == phi[j] * phi[i]`. The loop calls nothing,
+/// so the fourteen sums stay in registers.
+void Derivatives(const std::vector<FeatureRow>& rows, const double* rates,
+                 double volume, Vec4* grad, std::array<Vec4, 4>* hess) {
+  Vec4 g{-volume, 0.0, 0.0, 0.0};
+  std::array<double, 10> upper{};
+  for (std::size_t n = 0; n < rows.size(); ++n) {
+    const FeatureRow& row = rows[n];
+    const double inv = 1.0 / rates[n];
+    const double inv2 = inv * inv;
+    for (int i = 0; i < 4; ++i) {
+      g[i] += row.phi[i] * inv;
+    }
+    for (int k = 0; k < 10; ++k) {
+      upper[k] += row.outer[k] * inv2;
+    }
+  }
+  for (int i = 0, k = 0; i < 4; ++i) {
+    for (int j = i; j < 4; ++j, ++k) {
+      (*hess)[i][j] = upper[k];
+      (*hess)[j][i] = upper[k];
+    }
+  }
+  *grad = g;
 }
 
 }  // namespace
@@ -130,35 +176,39 @@ Result<LinearFit> FitLinearMle(Span<const geom::SpaceTimePoint> points,
 
   const Frame frame(window);
   const double volume = window.Volume();
-  std::vector<Vec4> features;
-  features.reserve(points.size());
-  for (const auto& p : points) {
-    features.push_back(frame.Features(p));
+  // Reused per thread: a fit allocates nothing once the scratch has grown
+  // to the largest batch seen.
+  thread_local std::vector<FeatureRow> rows;
+  thread_local std::vector<double> rates;
+  thread_local std::vector<double> candidate_rates;
+  const std::size_t n = points.size();
+  rows.resize(n);
+  rates.resize(n);
+  candidate_rates.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    FeatureRow& row = rows[p];
+    row.phi = frame.Features(points[p]);
+    for (int i = 0, k = 0; i < 4; ++i) {
+      for (int j = i; j < 4; ++j, ++k) {
+        row.outer[k] = row.phi[i] * row.phi[j];
+      }
+    }
   }
 
   // Initialise at the homogeneous MLE: a = (n / V, 0, 0, 0), which has
   // positive intensity at every point.
-  Vec4 a{static_cast<double>(points.size()) / volume, 0.0, 0.0, 0.0};
-  double ll = LogLikelihood(features, volume, a);
+  Vec4 a{static_cast<double>(n) / volume, 0.0, 0.0, 0.0};
+  double ll = LogLikelihood(rows, volume, a, /*stop_at_nonpositive=*/false,
+                            rates.data());
 
   LinearFit fit;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     fit.iterations = iter + 1;
-    // Gradient and Hessian of the exact log-likelihood.
-    Vec4 grad{-volume, 0.0, 0.0, 0.0};
-    std::array<Vec4, 4> hess{};  // -sum phi phi^T / rate^2 (stored negated
-                                 // below when solving).
-    for (const auto& phi : features) {
-      const double rate = Dot(a, phi);
-      const double inv = 1.0 / rate;
-      const double inv2 = inv * inv;
-      for (int i = 0; i < 4; ++i) {
-        grad[i] += phi[i] * inv;
-        for (int j = 0; j < 4; ++j) {
-          hess[i][j] += phi[i] * phi[j] * inv2;  // positive-definite -H
-        }
-      }
-    }
+    // Gradient and Hessian of the exact log-likelihood at `a`, from the
+    // intensities the evaluation that accepted `a` stored.
+    Vec4 grad;
+    std::array<Vec4, 4> hess;  // -H, positive definite
+    Derivatives(rows, rates.data(), volume, &grad, &hess);
     if (MaxNorm(grad) < options.tolerance * (1.0 + std::fabs(ll))) {
       fit.converged = true;
       break;
@@ -182,10 +232,18 @@ Result<LinearFit> FitLinearMle(Span<const geom::SpaceTimePoint> points,
       for (int i = 0; i < 4; ++i) {
         candidate[i] += step * delta[i];
       }
-      const double candidate_ll = LogLikelihood(features, volume, candidate);
+      if (candidate == a) {
+        // The step rounds away, and so will every shorter one: the
+        // remaining candidates all evaluate to `ll` and are rejected.
+        break;
+      }
+      const double candidate_ll =
+          LogLikelihood(rows, volume, candidate, /*stop_at_nonpositive=*/true,
+                        candidate_rates.data());
       if (candidate_ll > ll) {
         a = candidate;
         ll = candidate_ll;
+        rates.swap(candidate_rates);
         improved = true;
         break;
       }

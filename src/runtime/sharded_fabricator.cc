@@ -1595,7 +1595,7 @@ std::string ShardedFabricator::DescribeTopology() const {
   for (const auto& [id, qs] : queries_) {
     os << "Q" << id << " merge: " << qs.attachments.size()
        << " shard stream(s) -> "
-       << (qs.merge_head->kind() == ops::OperatorKind::kUnion ? "U" : "Id")
+       << fabric::MergeStageLabel(qs.merge_pipeline)
        << " -> Mon -> Sink\n";
   }
   return os.str();

@@ -537,7 +537,7 @@ class ShardedFabricator {
   struct QueryState {
     fabric::QueryStream stream;
     ops::Pipeline merge_pipeline;
-    ops::Operator* merge_head = nullptr;  // U (or pass-through) input
+    ops::Operator* merge_head = nullptr;  // Ord (or pass-through) input
     std::vector<ShardAttachment> attachments;
     std::vector<geom::CellIndex> cells;
     /// Remaining delivery credits (kUnlimitedCredits = no budget).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "ops/extras.h"
@@ -200,6 +202,79 @@ TEST(FlattenTest, FlushProcessesPartialBatch) {
   // Target far above supply: everything retained as violations.
   EXPECT_EQ(sink->tuples().size(), 20u);
   EXPECT_EQ(flatten->last_report().n, 20u);
+}
+
+/// Pushes `sizes`-sized batches of one tuple stream into a batch-driven
+/// Flatten and the same stream tuple by tuple into a twin, checking after
+/// every batch that both have fired the same batches, then that both
+/// deliver the same stream. Every second batch arrives with every other
+/// row deselected (a Partition port's view).
+void ExpectBatchPushMatchesPerTuple(const std::vector<std::size_t>& sizes) {
+  const geom::Rect region(0, 0, 2, 2);
+  FlattenConfig config = BaseConfig(region, 6.0);
+  config.batch_size = 16;
+  auto batched = FlattenOperator::Make("fb", config, Rng(60)).MoveValue();
+  auto single = FlattenOperator::Make("fs", config, Rng(60)).MoveValue();
+  auto batched_sink = SinkOperator::Make("sb", 1 << 16).MoveValue();
+  auto single_sink = SinkOperator::Make("ss", 1 << 16).MoveValue();
+  batched->AddOutput(batched_sink.get());
+  single->AddOutput(single_sink.get());
+  std::vector<std::size_t> batched_reports;
+  std::vector<std::size_t> single_reports;
+  batched->SetReportCallback([&](const FlattenBatchReport& report) {
+    batched_reports.push_back(report.n);
+  });
+  single->SetReportCallback([&](const FlattenBatchReport& report) {
+    single_reports.push_back(report.n);
+  });
+
+  Rng rng(61);
+  std::uint64_t next_id = 1;
+  double t = 0.0;
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const bool deselect = b % 2 == 1;
+    std::vector<Tuple> rows;
+    for (std::size_t i = 0; i < sizes[b] * (deselect ? 2 : 1); ++i) {
+      t += 0.01;
+      Tuple tuple = TupleAt({t, rng.Uniform(0.0, 2.0), rng.Uniform(0.0, 2.0)});
+      tuple.id = next_id++;
+      rows.push_back(tuple);
+    }
+    TupleBatch batch(rows);
+    if (deselect) {
+      std::vector<std::uint32_t> odd;
+      for (std::uint32_t i = 1; i < rows.size(); i += 2) {
+        odd.push_back(i);
+      }
+      batch.AdoptSelection(&odd);
+    }
+    ASSERT_EQ(batch.size(), sizes[b]);
+    batch.ForEach([&](const Tuple& tuple) {
+      ASSERT_TRUE(single->Push(tuple).ok());
+    });
+    ASSERT_TRUE(batched->PushBatch(batch).ok());
+    ASSERT_EQ(batched_reports, single_reports);
+    ASSERT_EQ(batched_sink->total_received(), single_sink->total_received());
+  }
+  ASSERT_TRUE(batched->Flush().ok());
+  ASSERT_TRUE(single->Flush().ok());
+  EXPECT_EQ(batched_reports, single_reports);
+  ASSERT_EQ(batched_sink->tuples().size(), single_sink->tuples().size());
+  for (std::size_t i = 0; i < single_sink->tuples().size(); ++i) {
+    EXPECT_EQ(batched_sink->tuples()[i].id, single_sink->tuples()[i].id);
+  }
+  EXPECT_EQ(batched->stats().tuples_in, single->stats().tuples_in);
+}
+
+TEST(FlattenTest, BatchEndingExactlyAtBatchSizeFiresLikePerTuple) {
+  // 5 + 11 = 16 and 9 + 7 = 16: both batches end on the boundary.
+  ExpectBatchPushMatchesPerTuple({5, 11, 9, 7, 3});
+}
+
+TEST(FlattenTest, BatchCrossingBatchSizeFiresLikePerTuple) {
+  // 7 + 20 crosses 16 once; 11 + 40 crosses it three times.
+  ExpectBatchPushMatchesPerTuple({7, 20, 40, 15, 1});
 }
 
 TEST(FlattenTest, SetTargetRateValidatesAndApplies) {

@@ -4,11 +4,14 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "fabric/fabricator.h"
+#include "obs/metrics.h"
 #include "ops/value_pool.h"
 #include "runtime/sharded_fabricator.h"
 
@@ -460,6 +463,141 @@ TEST(ShardedLoadTest, PerShardLoadCountersAccountForRoutedWork) {
   EXPECT_LE(stats->tuples_routed, enqueued);
   EXPECT_GT(busy, 0u);
   EXPECT_EQ(stats->value_pool_bytes, ops::ValuePool::Global().ApproxBytes());
+}
+
+/// The merge-stage label ("-> <label> -> Mon") DescribeTopology prints on
+/// the line that starts with `query_prefix`.
+std::string MergeLabelOf(const std::string& description,
+                         const std::string& query_prefix) {
+  const std::size_t line = description.find("\n" + query_prefix);
+  if (line == std::string::npos) {
+    return "<no line for " + query_prefix + ">";
+  }
+  const std::size_t end = description.find(" -> Mon", line);
+  const std::size_t begin = description.rfind("-> ", end - 1);
+  return description.substr(begin + 3, end - begin - 3);
+}
+
+TEST(MergeStageTest, DescribeTopologyLabelsUnionAndPassThrough) {
+  // A multi-cell query's merge stage is Ord -> U -> Mon -> Sink and
+  // describes as U; a single-cell one is Id -> Mon -> Sink.
+  const geom::Rect multi(0, 0, 2, 2);
+  const geom::Rect single(3, 3, 4, 4);
+  auto inproc =
+      fabric::StreamFabricator::Make(TestGrid(), TestFabricConfig())
+          .MoveValue();
+  const auto im = inproc->InsertQuery(kRain, multi, 3.0);
+  const auto is = inproc->InsertQuery(kRain, single, 3.0);
+  ASSERT_TRUE(im.ok() && is.ok());
+  const std::string local = inproc->DescribeTopology();
+  EXPECT_EQ(MergeLabelOf(local, "Q" + std::to_string(im->id) + ":"), "U")
+      << local;
+  EXPECT_EQ(MergeLabelOf(local, "Q" + std::to_string(is->id) + ":"), "Id")
+      << local;
+
+  ShardedConfig config;
+  config.num_shards = 2;
+  config.fabric = TestFabricConfig();
+  auto sharded = ShardedFabricator::Make(TestGrid(), config).MoveValue();
+  const auto sm = sharded->InsertQuery(kRain, multi, 3.0);
+  const auto ss = sharded->InsertQuery(kRain, single, 3.0);
+  ASSERT_TRUE(sm.ok() && ss.ok());
+  const std::string routed = sharded->DescribeTopology();
+  EXPECT_EQ(MergeLabelOf(routed, "Q" + std::to_string(sm->id) + " merge:"),
+            "U")
+      << routed;
+  EXPECT_EQ(MergeLabelOf(routed, "Q" + std::to_string(ss->id) + " merge:"),
+            "Id")
+      << routed;
+}
+
+/// Steps an insert/cancel churn workload one batch at a time and checks
+/// after every step that the merge-stage invariants hold and that U ran
+/// exactly once for each multi-cell query that received tuples in the
+/// step (the reorder buffer heads the stage, so U sees one batch per
+/// query per step on every execution path).
+template <typename Fab>
+void CheckMergeStageEveryStep(Fab* fab) {
+  const obs::Counter* u_evals = obs::GetCounter("craqr.ops.U.evaluations");
+  const std::vector<std::pair<ops::AttributeId, geom::Rect>> standing = {
+      {kRain, geom::Rect(0, 0, 4, 4)},      // every cell
+      {kRain, geom::Rect(1, 1, 2, 2)},      // one cell
+      {kTemp, geom::Rect(0.5, 0.5, 2.5, 1.5)},  // partial cells (P taps)
+      {kTemp, geom::Rect(3, 3, 4, 4)}};     // one cell
+  std::vector<query::QueryId> live;
+  for (const auto& [attribute, region] : standing) {
+    const auto q = fab->InsertQuery(attribute, region, 2.0);
+    ASSERT_TRUE(q.ok());
+    live.push_back(q->id);
+  }
+  Rng rng(2024);
+  double t = 0.0;
+  std::uint64_t next_id = 1;
+  std::vector<query::QueryId> churned;
+  std::uint64_t union_evals_seen = 0;
+  for (int step = 0; step < 30; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step % 5 == 1) {
+      const double x0 = rng.Uniform(0.0, 2.0);
+      const double y0 = rng.Uniform(0.0, 2.0);
+      const auto q = fab->InsertQuery(step % 2 == 0 ? kRain : kTemp,
+                                      geom::Rect(x0, y0, x0 + 2.0, y0 + 1.5),
+                                      1.0 + step % 3);
+      ASSERT_TRUE(q.ok());
+      live.push_back(q->id);
+      churned.push_back(q->id);
+    }
+    if (step % 5 == 4 && churned.size() > 1) {
+      const query::QueryId victim = churned.front();
+      churned.erase(churned.begin());
+      ASSERT_TRUE(fab->RemoveQuery(victim).ok());
+      live.erase(std::find(live.begin(), live.end(), victim));
+    }
+    std::map<query::QueryId, std::uint64_t> received_before;
+    for (const query::QueryId id : live) {
+      received_before[id] = fab->GetStream(id)->sink->total_received();
+    }
+    const std::uint64_t evals_before = u_evals->value();
+    auto batch = MakeBatch(&rng, &t, 96, next_id);
+    next_id += batch.size();
+    ASSERT_TRUE(fab->ProcessBatch(batch).ok());
+    const Status valid = fab->ValidateInvariants();
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
+
+    std::uint64_t expected = 0;
+    for (const query::QueryId id : live) {
+      const auto cells = fab->QueryCells(id);
+      ASSERT_TRUE(cells.ok());
+      if (cells->size() >= 2 &&
+          fab->GetStream(id)->sink->total_received() > received_before[id]) {
+        ++expected;
+      }
+    }
+    const std::uint64_t evals = u_evals->value() - evals_before;
+    EXPECT_EQ(evals, expected);
+    union_evals_seen += evals;
+  }
+  EXPECT_GT(union_evals_seen, 0u) << "no multi-cell delivery; test is vacuous";
+}
+
+TEST(MergeStageTest, UnionRunsOncePerQueryPerStepUnderChurn) {
+  if (!obs::IsEnabled()) {
+    GTEST_SKIP() << "per-kind operator counters are compiled out";
+  }
+  {
+    SCOPED_TRACE("in process");
+    auto fab = fabric::StreamFabricator::Make(TestGrid(), TestFabricConfig())
+                   .MoveValue();
+    CheckMergeStageEveryStep(fab.get());
+  }
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    ShardedConfig config;
+    config.num_shards = shards;
+    config.fabric = TestFabricConfig();
+    auto fab = ShardedFabricator::Make(TestGrid(), config).MoveValue();
+    CheckMergeStageEveryStep(fab.get());
+  }
 }
 
 TEST(ShardedStressTest, DestructorJoinsWorkersWithQueuedWork) {
