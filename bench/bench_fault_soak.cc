@@ -85,7 +85,6 @@ bool BuildRuntime(std::size_t shards, bool checkpointed, SoakRuntime* out) {
   config.num_shards = shards;
   config.fabric.flatten_batch_size = 32;
   config.fabric.seed = 0xC0FFEE;
-  config.enable_stealing = shards > 1;
   config.checkpoint.enabled = checkpointed;
   auto made = runtime::ShardedFabricator::Make(
       geom::Grid::Make(geom::Rect(0, 0, 4, 4), 16).MoveValue(), config);

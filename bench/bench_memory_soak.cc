@@ -60,7 +60,6 @@ bool BuildRuntime(ops::ValuePool* pool, std::size_t shards,
   config.fabric.seed = 0xC0FFEE;
   config.fabric.sink_capacity = 64;  // bounded live-string holders
   config.fabric.value_pool = pool;
-  config.enable_stealing = shards > 1;
   config.memory.budget_bytes = kBudgetBytes;
   auto made = runtime::ShardedFabricator::Make(
       geom::Grid::Make(geom::Rect(0, 0, 4, 4), 16).MoveValue(), config);

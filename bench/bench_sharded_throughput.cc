@@ -23,18 +23,8 @@
 /// shards needs >= 4 physical cores. The same bound applies to the
 /// engine-step overlap.
 ///
-/// `--skew <frac>` switches to the load-imbalance sweep: `frac` of the
-/// traffic (e.g. 0.9) lands in a hot corner covering ~5% of the grid's
-/// cells, and each shard count runs three ways — static hash partition,
-/// with epoch-barrier cell rebalancing, and with rebalancing plus work
-/// stealing — against a balanced-traffic control. Routed counts must be
-/// identical across all of them (rebalancing/stealing never change what is
-/// delivered, only where it executes).
-///
 /// Usage: bench_sharded_throughput [--json <path>] [--metrics-json <path>]
 ///                                 [batches] [batch_size] [queries]
-///        bench_sharded_throughput [--json <path>] [--metrics-json <path>]
-///                                 --skew <frac> [batches] [batch_size] [queries]
 ///        bench_sharded_throughput [--json <path>] [--metrics-json <path>]
 ///                                 --engine-step [steps] [sensors]
 ///
@@ -44,7 +34,7 @@
 /// BENCH_*.json perf trajectory the release-bench CI job uploads.
 /// `--metrics-json <path>` additionally dumps the final obs registry
 /// snapshot (per-operator-kind counters, per-shard latency histograms,
-/// per-cell routing bank) as obs::SnapshotJson output.
+/// router histograms) as obs::SnapshotJson output.
 
 #include <algorithm>
 #include <chrono>
@@ -117,13 +107,9 @@ bool InsertQueries(Fab* fab, std::size_t queries) {
   return true;
 }
 
-/// `skew_frac` of the tuples land in the hot corner — 1.75x1.75 of an
-/// 8x8 world is 14x14 of the 64x64 grid's cells, ~4.8% of them; the rest
-/// stay uniform. skew_frac 0 is the balanced workload.
+/// Uniform tuples over the whole world, monotone in time.
 std::vector<std::vector<ops::Tuple>> MakeBatches(std::size_t batches,
-                                                 std::size_t batch_size,
-                                                 double skew_frac = 0.0) {
-  constexpr double kHotSize = 1.75;
+                                                 std::size_t batch_size) {
   Rng rng(23);
   double t = 0.0;
   std::uint64_t id = 1;
@@ -137,10 +123,11 @@ std::vector<std::vector<ops::Tuple>> MakeBatches(std::size_t batches,
       tuple.id = id++;
       tuple.attribute = i % 3 == 0 ? 1 : 0;
       t += 0.0005;
-      const double extent =
-          rng.Uniform(0.0, 1.0) < skew_frac ? kHotSize : kWorldSize;
-      tuple.point = geom::SpaceTimePoint{t, rng.Uniform(0.0, extent),
-                                         rng.Uniform(0.0, extent)};
+      // A spare draw per tuple keeps the batches identical to the ones
+      // earlier BENCH_*.json rows measured.
+      (void)rng.Uniform(0.0, 1.0);
+      tuple.point = geom::SpaceTimePoint{t, rng.Uniform(0.0, kWorldSize),
+                                         rng.Uniform(0.0, kWorldSize)};
       batch.push_back(tuple);
     }
     out.push_back(std::move(batch));
@@ -151,8 +138,6 @@ std::vector<std::vector<ops::Tuple>> MakeBatches(std::size_t batches,
 struct RunResult {
   double tuples_per_sec = 0.0;
   std::uint64_t routed = 0;
-  std::uint64_t migrated = 0;
-  std::uint64_t steals = 0;
 };
 
 /// Pumps every batch and reports end-to-end tuples/sec (routing + shard
@@ -197,43 +182,21 @@ RunResult RunSingleThreaded(const std::vector<std::vector<ops::Tuple>>& batches,
   return result;
 }
 
-/// Knobs for the skew sweep: the static baseline leaves both off; the
-/// rebalanced configurations call Rebalance() every `rebalance_every`
-/// batches, mimicking the engine's rebalance_every_steps cadence.
-struct ShardedRunOptions {
-  bool rebalancing = false;
-  bool stealing = false;
-  std::size_t rebalance_every = 16;
-};
-
 RunResult RunSharded(const std::vector<std::vector<ops::Tuple>>& batches,
-                     std::size_t queries, std::size_t num_shards,
-                     const ShardedRunOptions& opts = {}) {
+                     std::size_t queries, std::size_t num_shards) {
   runtime::ShardedConfig config;
   config.num_shards = num_shards;
   config.fabric = BenchFabricConfig();
-  config.enable_stealing = opts.stealing;
-  config.enable_rebalancing = opts.rebalancing;
-  config.rebalance.imbalance_trigger = 1.1;
-  config.rebalance.max_moves_per_event = 32;
   auto fab = runtime::ShardedFabricator::Make(BenchGrid(), config).MoveValue();
   if (!InsertQueries(fab.get(), queries)) {
     std::fprintf(stderr, "query insertion failed\n");
     std::exit(1);
   }
   auto result = TimedRun(batches, [&] {
-    std::size_t since_rebalance = 0;
     for (const auto& batch : batches) {
       if (!fab->EnqueueBatch(batch).ok()) {
         std::fprintf(stderr, "EnqueueBatch failed\n");
         std::exit(1);
-      }
-      if (opts.rebalancing && ++since_rebalance >= opts.rebalance_every) {
-        since_rebalance = 0;
-        if (!fab->Rebalance().ok()) {
-          std::fprintf(stderr, "Rebalance failed\n");
-          std::exit(1);
-        }
       }
     }
     if (!fab->Drain().ok()) {
@@ -248,81 +211,7 @@ RunResult RunSharded(const std::vector<std::vector<ops::Tuple>>& batches,
     std::exit(1);
   }
   result.routed = stats->tuples_routed;
-  result.migrated = stats->cells_migrated;
-  for (const auto& shard : stats->per_shard) {
-    result.steals += shard.steals;
-  }
   return result;
-}
-
-// ----------------------------------------------------------------- skew sweep
-
-/// Load-imbalance sweep: a balanced control plus three treatments of the
-/// skewed workload per shard count. Routed counts are pinned within each
-/// batch set — migrating cells or stealing jobs must never change what is
-/// delivered. Returns false on a routed-count mismatch.
-bool RunSkewSweep(double skew_frac, std::size_t batches,
-                  std::size_t batch_size, std::size_t queries) {
-  std::printf("skewed-load rebalancing sweep\n");
-  std::printf(
-      "  workload: %zu queries, %zu batches x %zu tuples, skew %.2f into "
-      "~5%% of cells\n",
-      queries, batches, batch_size, skew_frac);
-  std::printf("  hardware threads: %u\n\n",
-              std::thread::hardware_concurrency());
-  std::printf("%-40s %14s %12s %9s %8s\n", "configuration", "tuples/sec",
-              "routed", "migrated", "steals");
-
-  const auto balanced = MakeBatches(batches, batch_size, 0.0);
-  const auto skewed = MakeBatches(batches, batch_size, skew_frac);
-
-  ShardedRunOptions kStatic;
-  ShardedRunOptions rebalance;
-  rebalance.rebalancing = true;
-  ShardedRunOptions rebalance_steal = rebalance;
-  rebalance_steal.stealing = true;
-
-  struct Treatment {
-    const char* label;
-    const std::vector<std::vector<ops::Tuple>>* input;
-    const ShardedRunOptions* opts;
-  };
-  const Treatment treatments[] = {
-      {"balanced_static", &balanced, &kStatic},
-      {"skewed_static", &skewed, &kStatic},
-      {"skewed_rebalance", &skewed, &rebalance},
-      {"skewed_rebalance_steal", &skewed, &rebalance_steal},
-  };
-
-  for (const std::size_t shards : {2u, 4u}) {
-    // Per batch set, every configuration must route the same tuple count.
-    std::uint64_t balanced_routed = 0;
-    std::uint64_t skewed_routed = 0;
-    for (const Treatment& t : treatments) {
-      const RunResult r = RunSharded(*t.input, queries, shards, *t.opts);
-      const std::string label = "BM_SkewedSweep/shards:" +
-                                std::to_string(shards) + "/" + t.label;
-      std::printf("%-40s %14.0f %12llu %9llu %8llu\n", label.c_str(),
-                  r.tuples_per_sec, static_cast<unsigned long long>(r.routed),
-                  static_cast<unsigned long long>(r.migrated),
-                  static_cast<unsigned long long>(r.steals));
-      AddJsonEntry(label, batches, r.tuples_per_sec);
-      std::uint64_t& expected =
-          t.input == &balanced ? balanced_routed : skewed_routed;
-      if (expected == 0) {
-        expected = r.routed;
-      } else if (r.routed != expected) {
-        std::fprintf(stderr,
-                     "FAIL: %s routed %llu tuples, expected %llu (rebalancing "
-                     "or stealing changed the delivered stream)\n",
-                     label.c_str(), static_cast<unsigned long long>(r.routed),
-                     static_cast<unsigned long long>(expected));
-        return false;
-      }
-    }
-    std::printf("\n");
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------- engine step
@@ -481,23 +370,6 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  // --skew <frac>: run the load-imbalance sweep instead of the scaling
-  // sweep (frac in (0,1]: share of traffic aimed at the hot corner).
-  const std::string skew_text =
-      benchjson::ExtractFlagValue(&argc, argv, "--skew");
-  double skew_frac = 0.0;
-  if (!skew_text.empty()) {
-    try {
-      skew_frac = std::stod(skew_text);
-    } catch (const std::exception&) {
-      skew_frac = -1.0;
-    }
-    if (skew_frac <= 0.0 || skew_frac > 1.0) {
-      std::fprintf(stderr, "invalid --skew '%s' (expected 0 < frac <= 1)\n",
-                   skew_text.c_str());
-      return 2;
-    }
-  }
   // --engine-step: run only the engine-loop overlap benchmark (the CI
   // release-bench filter for BM_EngineStepSync/Pipelined).
   bool engine_step_only = false;
@@ -549,17 +421,6 @@ int main(int argc, char** argv) {
   const std::size_t batches = parse_arg(1, 150);
   const std::size_t batch_size = parse_arg(2, 512);
   const std::size_t queries = parse_arg(3, 24);
-
-  if (skew_frac > 0.0) {
-    const bool ok = RunSkewSweep(skew_frac, batches, batch_size, queries);
-    if (ok && !json_path.empty()) {
-      benchjson::WriteEntries(json_path, g_json_entries);
-    }
-    if (ok && !dump_metrics()) {
-      return 1;
-    }
-    return ok ? 0 : 1;
-  }
 
   std::printf("sharded-runtime throughput sweep\n");
   std::printf("  workload: %zu queries, %zu batches x %zu tuples\n", queries,

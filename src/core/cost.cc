@@ -27,6 +27,8 @@ double OperatorCosts::CostOf(ops::OperatorKind kind) const {
       return sink;
     case ops::OperatorKind::kPassThrough:
       return pass_through;
+    case ops::OperatorKind::kReorder:
+      return 1.0;  // one buffered copy plus its share of the step's sort
   }
   return 1.0;
 }

@@ -75,9 +75,6 @@ Result<std::unique_ptr<CraqrEngine>> CraqrEngine::Make(
     sc.queue_capacity = config.shard_queue_capacity;
     sc.fabric = config.fabric;
     sc.trace_capacity = config.trace_capacity;
-    sc.enable_stealing = config.enable_work_stealing;
-    sc.enable_rebalancing = config.rebalance_every_steps > 0;
-    sc.rebalance = config.rebalance;
     sc.admission = config.admission;
     sc.checkpoint = config.checkpoint;
     if (config.checkpoint_every_steps > 0) {
@@ -269,17 +266,10 @@ Status CraqrEngine::Step() {
     if (step_count_ >= depth) {
       CRAQR_RETURN_NOT_OK(sharded_->DrainThrough(step_count_ - (depth - 1)));
     }
-    // Rebalance at the epoch boundary the drain just established — before
-    // this step's batch is routed, so the batch already flows through the
-    // updated table. Barriers internally; feedback held past the horizon
-    // stays held (byte-exactness does not depend on when this fires).
-    if (config_.rebalance_every_steps > 0 &&
-        step_count_ % config_.rebalance_every_steps == 0) {
-      CRAQR_RETURN_NOT_OK(sharded_->Rebalance().status());
-    }
-    // Checkpoint cadence at the same boundary: bounds the replay log a
-    // crash must re-run (byte-exactness is likewise independent of when
-    // this fires — the snapshot is taken at a full barrier).
+    // Checkpoint cadence at the epoch boundary the drain just established:
+    // bounds the replay log a crash must re-run (byte-exactness does not
+    // depend on when this fires — the snapshot is taken at a full
+    // barrier).
     if (config_.checkpoint_every_steps > 0 &&
         step_count_ % config_.checkpoint_every_steps == 0) {
       CRAQR_RETURN_NOT_OK(sharded_->Checkpoint());
@@ -308,13 +298,6 @@ Status CraqrEngine::Step() {
   const Status processed = sharded_ != nullptr
                                ? sharded_->ProcessBatch(batch)
                                : fabricator_->ProcessBatch(batch);
-  // Rebalance between batches, same cadence as the pipelined path (the
-  // exact boundary it fires at does not affect delivered streams).
-  if (processed.ok() && sharded_ != nullptr &&
-      config_.rebalance_every_steps > 0 &&
-      step_count_ % config_.rebalance_every_steps == 0) {
-    CRAQR_RETURN_NOT_OK(sharded_->Rebalance().status());
-  }
   if (processed.ok() && sharded_ != nullptr &&
       config_.checkpoint_every_steps > 0 &&
       step_count_ % config_.checkpoint_every_steps == 0) {

@@ -103,20 +103,6 @@ struct EngineConfig {
   /// in chrome://tracing or Perfetto. Observation-only: tracing does not
   /// change delivered streams.
   std::size_t trace_capacity = 0;
-  /// \brief Load-aware cell rebalancing cadence (sharded path only,
-  /// num_shards >= 2): every N steps the engine runs
-  /// runtime::ShardedFabricator::Rebalance() at the step's epoch boundary,
-  /// migrating hot cells' live topologies to underloaded shards. Cell-local
-  /// operator seeding keeps delivered streams byte-exact whether and
-  /// whenever rebalancing fires. 0 (the default) disables it.
-  std::uint64_t rebalance_every_steps = 0;
-  /// Planner hysteresis knobs (used when rebalance_every_steps > 0).
-  runtime::RebalanceConfig rebalance;
-  /// \brief Work stealing across shard workers (num_shards >= 2): idle
-  /// workers claim chain-group jobs from the busiest peer's in-flight
-  /// batch. Complements rebalancing — stealing absorbs transient bursts
-  /// within a batch, rebalancing fixes sustained skew across epochs.
-  bool enable_work_stealing = false;
   /// Credit-based admission / overload-shedding knobs (sharded path only):
   /// shard-queue push policy and the shed policy for credit-exhausted
   /// query subscribers. See runtime::AdmissionConfig.

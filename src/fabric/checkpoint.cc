@@ -17,11 +17,11 @@
 /// The serializer walks queries and cells in a deterministic order
 /// (queries ascending by local id; cells ascending by flat index; chains
 /// ascending by attribute; thins, carve-outs and taps in chain position
-/// order — the same order ExtractCell uses), so equal fabricator states
-/// produce equal blobs. The deserializer is the from-bytes sibling of
-/// AdoptCell: it re-creates each operator through its validating factory
-/// with a placeholder RNG, then overwrites the full mutable state
-/// (RNG phase, buffers, counters) from the blob.
+/// order, i.e. F first, then the T's in descending output rate), so equal
+/// fabricator states produce equal blobs. The deserializer re-creates
+/// each operator through its validating factory with a placeholder RNG,
+/// then overwrites the full mutable state (RNG phase, buffers, counters)
+/// from the blob.
 
 namespace craqr {
 namespace fabric {
@@ -70,7 +70,7 @@ Status StreamFabricator::SaveState(std::string* out) const {
   w.WriteU64(tuples_unrouted_);
 
   // Cell topologies, ascending by flat index; chains ascending by
-  // attribute (the ExtractCell order).
+  // attribute, independent of hashmap iteration order.
   std::vector<std::pair<std::uint32_t, geom::CellIndex>> cell_order;
   cell_order.reserve(cells_.size());
   for (const auto& [index, cell] : cells_) {

@@ -68,8 +68,7 @@ std::uint64_t RegionSignature(std::uint64_t prefix, const geom::Rect& r) {
 }
 
 /// The SharedPartition entry owning `op` under `node`, or nullptr. Const
-/// and mutable callers share one template (migration, removal,
-/// validation).
+/// and mutable callers share one template (removal, validation).
 template <typename Node>
 auto* FindShare(Node& node, const ops::PartitionOperator* op) {
   for (auto& entry : node.partitions) {
@@ -82,41 +81,6 @@ auto* FindShare(Node& node, const ops::PartitionOperator* op) {
 }
 
 }  // namespace
-
-/// The migration payload: the live Cell plus every detached tap, in the
-/// deterministic order ExtractCell recorded them. Defined here so the
-/// private Cell/Tap types never leak into the public header.
-struct CellMigration::Rep {
-  geom::CellIndex index;
-  std::unique_ptr<StreamFabricator::Cell> cell;
-  struct TapTransfer {
-    query::QueryId source_id = 0;
-    StreamFabricator::Tap tap;
-  };
-  std::vector<TapTransfer> taps;
-};
-
-CellMigration::CellMigration() noexcept = default;
-CellMigration::CellMigration(CellMigration&&) noexcept = default;
-CellMigration& CellMigration::operator=(CellMigration&&) noexcept = default;
-CellMigration::~CellMigration() = default;
-
-geom::CellIndex CellMigration::cell() const {
-  return rep_ != nullptr ? rep_->index : geom::CellIndex{};
-}
-
-std::vector<query::QueryId> CellMigration::tap_query_ids() const {
-  std::vector<query::QueryId> ids;
-  if (rep_ == nullptr) {
-    return ids;
-  }
-  for (const auto& transfer : rep_->taps) {
-    if (std::find(ids.begin(), ids.end(), transfer.source_id) == ids.end()) {
-      ids.push_back(transfer.source_id);
-    }
-  }
-  return ids;
-}
 
 bool ViolationReplayLess(const ViolationReplayKey& a,
                          const ViolationReplayKey& b) {
@@ -247,16 +211,6 @@ Result<std::unique_ptr<StreamFabricator>> StreamFabricator::Make(
   }
   auto fabricator = std::unique_ptr<StreamFabricator>(
       new StreamFabricator(grid, config));
-  // Per-cell routed-tuple counter bank, shared process-wide by every
-  // fabricator over an equal-sized grid (the name encodes the cell count
-  // so differently sized grids never alias). Skipped for grids too fine
-  // for a dense bank — the same bound the route LUT uses.
-  if (static_cast<std::uint64_t>(grid.NumCells()) + 1 <=
-      kMaxRouteLutEntries) {
-    fabricator->cell_routed_ = obs::GetCounterBank(
-        "craqr.fabric.cell_routed.h" + std::to_string(grid.NumCells()),
-        grid.NumCells());
-  }
   // Process-wide sharing telemetry (functional: tests and ShardedStats
   // read the per-instance members; the registry counters feed the
   // exporter). stages_shared counts share events — a stage gaining its
@@ -324,12 +278,8 @@ void StreamFabricator::BindChainReportCallback(Chain* chain,
                                                const geom::CellIndex& index) {
   // Reports are buffered and replayed at the batch boundary in
   // completion-time order (ReplayPendingViolations), so feedback consumers
-  // see the same canonical order on every execution path. The buffer is
-  // mutex-guarded because cooperative dispatch runs distinct chain groups
-  // on several threads; replay order stays deterministic regardless of
-  // arrival interleaving (ViolationReplayLess is a total order across
-  // distinct (attribute, cell) keys, and one F's reports arrive in firing
-  // order from whichever single thread runs its job).
+  // see the same canonical order on every execution path. The buffer's
+  // mutex is uncontended: one thread drives a fabricator at a time.
   chain->flatten->SetReportCallback(
       [this, attribute, index](const ops::FlattenBatchReport& report) {
         if (violation_callback_) {
@@ -632,7 +582,7 @@ Result<QueryStream> StreamFabricator::InsertQueryShell(
   qs.stream.region = region;
   qs.stream.rate = rate;
   // Same delivery endpoint as InsertQueryPartial, but zero taps: the
-  // per-cell streams arrive only when AdoptCell wires migrated chains in.
+  // caller (RestoreState) rebuilds the per-cell chains and wires them in.
   std::ostringstream base;
   base << "Q" << id;
   CRAQR_ASSIGN_OR_RETURN(
@@ -646,194 +596,6 @@ Result<QueryStream> StreamFabricator::InsertQueryShell(
   const QueryStream handle = qs.stream;
   queries_.emplace(id, std::move(qs));
   return handle;
-}
-
-Result<CellMigration> StreamFabricator::ExtractCell(
-    const geom::CellIndex& index) {
-  auto cell_it = cells_.find(index);
-  if (cell_it == cells_.end()) {
-    return Status::NotFound("cell " + index.ToString() +
-                            " is not materialized");
-  }
-  Cell* cell = cell_it->second.get();
-  auto rep = std::make_unique<CellMigration::Rep>();
-  rep->index = index;
-  // Deterministic transfer order: chains by ascending attribute, taps in
-  // chain position order — independent of hashmap iteration order, so the
-  // destination rebuilds its edges identically run to run.
-  std::vector<ops::AttributeId> attrs;
-  attrs.reserve(cell->chains.size());
-  for (const auto& [attribute, chain] : cell->chains) {
-    (void)chain;
-    attrs.push_back(attribute);
-  }
-  std::sort(attrs.begin(), attrs.end());
-  for (const ops::AttributeId attribute : attrs) {
-    Chain& chain = cell->chains.at(attribute);
-    for (ThinNode& node : chain.thins) {
-      for (const query::QueryId qid : node.tap_queries) {
-        auto query_it = queries_.find(qid);
-        if (query_it == queries_.end()) {
-          return Status::Internal("cell " + index.ToString() +
-                                  " taps dead query " + std::to_string(qid));
-        }
-        QueryState& qs = query_it->second;
-        auto tap_it = qs.taps.begin();
-        for (; tap_it != qs.taps.end(); ++tap_it) {
-          if (tap_it->cell == index) {
-            break;
-          }
-        }
-        if (tap_it == qs.taps.end()) {
-          return Status::Internal("query " + std::to_string(qid) +
-                                  " has no tap record for cell " +
-                                  index.ToString());
-        }
-        // Unwire the edge into this fabricator's merge stage; the P
-        // operator (if any — shared carve-outs included, splitter and
-        // sharer list with them) lives in the cell pipeline and travels
-        // with the payload.
-        if (tap_it->partition != nullptr) {
-          SharedPartition* entry =
-              tap_it->shared ? FindShare(node, tap_it->partition) : nullptr;
-          if (tap_it->shared && entry == nullptr) {
-            return Status::Internal("migrating shared tap lost its "
-                                    "carve-out record");
-          }
-          if (entry != nullptr) {
-            entry->splitter->RemoveOutput(qs.merge_head);
-          } else {
-            tap_it->partition->RemoveOutput(qs.merge_head);
-          }
-        } else {
-          node.op->RemoveOutput(qs.merge_head);
-        }
-        rep->taps.push_back({qid, *tap_it});
-        qs.taps.erase(tap_it);
-      }
-    }
-    // The F callback captures this fabricator; never let it dangle while
-    // the payload is in transit.
-    chain.flatten->SetReportCallback(nullptr);
-    RouteNoteChainRemoved(&chain, attribute);
-  }
-  rep->cell = std::move(cell_it->second);
-  cells_.erase(cell_it);
-  CellMigration migration;
-  migration.rep_ = std::move(rep);
-  return migration;
-}
-
-Status StreamFabricator::AdoptCell(
-    CellMigration migration,
-    const std::unordered_map<query::QueryId, query::QueryId>& id_map) {
-  if (migration.empty() || migration.rep_->cell == nullptr) {
-    return Status::InvalidArgument("empty cell migration payload");
-  }
-  std::unique_ptr<CellMigration::Rep> rep = std::move(migration.rep_);
-  const geom::CellIndex index = rep->index;
-  if (cells_.find(index) != cells_.end()) {
-    return Status::Internal("destination already owns cell " +
-                            index.ToString());
-  }
-  Cell* cell = rep->cell.get();
-  for (auto& [attribute, chain] : cell->chains) {
-    BindChainReportCallback(&chain, attribute, index);
-    // The chain records which local queries tap each T (and which share
-    // each carve-out); translate the source fabricator's ids to ours.
-    for (ThinNode& node : chain.thins) {
-      for (query::QueryId& qid : node.tap_queries) {
-        const auto mapped = id_map.find(qid);
-        if (mapped == id_map.end()) {
-          return Status::Internal("cell migration tap query " +
-                                  std::to_string(qid) + " has no id mapping");
-        }
-        qid = mapped->second;
-      }
-      for (SharedPartition& entry : node.partitions) {
-        for (query::QueryId& qid : entry.sharers) {
-          const auto mapped = id_map.find(qid);
-          if (mapped == id_map.end()) {
-            return Status::Internal("cell migration sharer query " +
-                                    std::to_string(qid) +
-                                    " has no id mapping");
-          }
-          qid = mapped->second;
-        }
-      }
-    }
-  }
-  // Rewire every transferred tap into the local merge heads, in the
-  // deterministic order ExtractCell recorded.
-  for (const auto& transfer : rep->taps) {
-    const auto mapped = id_map.find(transfer.source_id);
-    if (mapped == id_map.end()) {
-      return Status::Internal("cell migration tap query " +
-                              std::to_string(transfer.source_id) +
-                              " has no id mapping");
-    }
-    auto query_it = queries_.find(mapped->second);
-    if (query_it == queries_.end()) {
-      return Status::Internal("cell migration targets dead local query " +
-                              std::to_string(mapped->second));
-    }
-    QueryState& qs = query_it->second;
-    if (transfer.tap.partition != nullptr && transfer.tap.shared) {
-      // Shared carve-out: the sharer's edge hangs off the splitter that
-      // travelled inside the payload. Locate its entry by the P pointer.
-      auto chain_it = cell->chains.find(qs.stream.attribute);
-      SharedPartition* entry = nullptr;
-      if (chain_it != cell->chains.end()) {
-        for (ThinNode& node : chain_it->second.thins) {
-          entry = FindShare(node, transfer.tap.partition);
-          if (entry != nullptr) {
-            break;
-          }
-        }
-      }
-      if (entry == nullptr) {
-        return Status::Internal("adopted shared tap for query " +
-                                std::to_string(mapped->second) +
-                                " has no carve-out record");
-      }
-      entry->splitter->AddOutput(qs.merge_head);
-    } else if (transfer.tap.partition != nullptr) {
-      // Port 0 of the P operator is the overlap region (InsertTap); with
-      // the merge edge removed it is the only output being re-added, so
-      // the port assignment is restored exactly.
-      transfer.tap.partition->AddOutput(qs.merge_head);
-    } else {
-      // Covering tap: reconnect from the T this query taps.
-      auto chain_it = cell->chains.find(qs.stream.attribute);
-      if (chain_it == cell->chains.end()) {
-        return Status::Internal("cell migration tap chain missing for query " +
-                                std::to_string(mapped->second));
-      }
-      ops::ThinOperator* source = nullptr;
-      for (ThinNode& node : chain_it->second.thins) {
-        if (std::find(node.tap_queries.begin(), node.tap_queries.end(),
-                      mapped->second) != node.tap_queries.end()) {
-          source = node.op;
-          break;
-        }
-      }
-      if (source == nullptr) {
-        return Status::Internal("cell migration tap T missing for query " +
-                                std::to_string(mapped->second));
-      }
-      source->AddOutput(qs.merge_head);
-    }
-    qs.taps.push_back(transfer.tap);
-  }
-  Cell* adopted =
-      cells_.emplace(index, std::move(rep->cell)).first->second.get();
-  // Adopted chains enter this fabricator's route LUT incrementally (their
-  // route_bucket fields are source-local garbage — reset first).
-  for (auto& [attribute, chain] : adopted->chains) {
-    chain.route_bucket = 0;
-    RouteNoteChainAdded(chain.flat_cell, attribute, &chain);
-  }
-  return Status::OK();
 }
 
 Status StreamFabricator::RemoveTap(QueryState* qs, const Tap& tap) {
@@ -981,11 +743,7 @@ StreamFabricator::Chain* StreamFabricator::RouteTarget(
     return nullptr;
   }
   ++tuples_routed_;
-  Chain* chain = &chain_it->second;
-  if (cell_routed_ != nullptr && obs::IsEnabled()) {
-    cell_routed_->Add(chain->flat_cell, 1);
-  }
-  return chain;
+  return &chain_it->second;
 }
 
 Status StreamFabricator::ProcessTuple(const ops::Tuple& tuple) {
@@ -1184,11 +942,6 @@ void StreamFabricator::RouteBatch(ops::TupleBatch& batch) {
         chain->inbox.AppendRows(
             batch, {grouped_rows_.data() + begin, end - begin});
         batch_touched_.push_back(chain);
-        // Hot-cell telemetry: one bank add per touched chain per batch,
-        // not per row.
-        if (cell_routed_ != nullptr && obs::IsEnabled()) {
-          cell_routed_->Add(chain->flat_cell, end - begin);
-        }
       }
       begin = end;
     }
@@ -1200,95 +953,6 @@ void StreamFabricator::RouteBatch(ops::TupleBatch& batch) {
 
 Status StreamFabricator::ProcessBatch(ops::TupleBatch& batch) {
   RouteBatch(batch);
-  return DispatchInboxesAndFlush();
-}
-
-Status StreamFabricator::ProcessBatch(const std::vector<ops::Tuple>& batch) {
-  // Convenience path (tests, benches): one scatter, then the hot overload.
-  ops::TupleBatch columns(batch);
-  return ProcessBatch(columns);
-}
-
-Result<std::size_t> StreamFabricator::BeginDispatch(ops::TupleBatch& batch) {
-  if (!dispatch_jobs_.empty()) {
-    return Status::FailedPrecondition("a cooperative dispatch is already open");
-  }
-  RouteBatch(batch);
-  BuildDispatchJobs();
-  return dispatch_jobs_.size();
-}
-
-void StreamFabricator::BuildDispatchJobs() {
-  const std::size_t n = batch_touched_.size();
-  if (n == 0) {
-    return;
-  }
-  // Union-find (path halving) over the touched chains: chains sharing a
-  // tapping query are united, because their partial streams converge in
-  // that query's merge head — one thread per merge head, or deliveries
-  // race. Chains only ever tapped by disjoint query sets stay in
-  // independent jobs.
-  std::vector<std::size_t> parent(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    parent[i] = i;
-  }
-  const auto find = [&parent](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::unordered_map<query::QueryId, std::size_t> query_owner;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const ThinNode& node : batch_touched_[i]->thins) {
-      for (const query::QueryId qid : node.tap_queries) {
-        const auto [it, inserted] = query_owner.emplace(qid, i);
-        if (!inserted) {
-          parent[find(i)] = find(it->second);
-        }
-      }
-    }
-  }
-  // Emit jobs in first-touch order of each group's earliest chain, chains
-  // within a job keeping their routing order — so a job replays exactly
-  // the subsequence of the sequential dispatch it owns.
-  std::unordered_map<std::size_t, std::size_t> job_of_root;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = find(i);
-    const auto [it, inserted] =
-        job_of_root.emplace(root, dispatch_jobs_.size());
-    if (inserted) {
-      dispatch_jobs_.emplace_back();
-    }
-    dispatch_jobs_[it->second].push_back(batch_touched_[i]);
-  }
-}
-
-Status StreamFabricator::RunDispatchJob(std::size_t job) {
-  if (job >= dispatch_jobs_.size()) {
-    return Status::InvalidArgument("dispatch job out of range");
-  }
-  Status status = Status::OK();
-  for (Chain* chain : dispatch_jobs_[job]) {
-    if (status.ok()) {
-      status = chain->flatten->PushBatch(chain->inbox);
-    }
-    // Drained even on error so no tuple leaks into the next batch.
-    chain->inbox.Clear();
-  }
-  return status;
-}
-
-Status StreamFabricator::FinishDispatch() {
-  dispatch_jobs_.clear();
-  // Cleared before FlushAll: a violation callback replayed there may
-  // re-enter with topology surgery that deletes chains.
-  batch_touched_.clear();
-  return FlushAll();
-}
-
-Status StreamFabricator::DispatchInboxesAndFlush() {
   Status status = Status::OK();
   for (Chain* chain : batch_touched_) {
     if (status.ok()) {
@@ -1302,6 +966,12 @@ Status StreamFabricator::DispatchInboxesAndFlush() {
   batch_touched_.clear();
   CRAQR_RETURN_NOT_OK(status);
   return FlushAll();
+}
+
+Status StreamFabricator::ProcessBatch(const std::vector<ops::Tuple>& batch) {
+  // Convenience path (tests, benches): one scatter, then the hot overload.
+  ops::TupleBatch columns(batch);
+  return ProcessBatch(columns);
 }
 
 Status StreamFabricator::FlushAll() {

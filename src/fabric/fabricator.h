@@ -22,8 +22,7 @@
 
 namespace craqr {
 namespace obs {
-class Counter;      // obs/metrics.h — sharing telemetry counters
-class CounterBank;  // obs/metrics.h — per-cell routed-tuple telemetry
+class Counter;  // obs/metrics.h — sharing telemetry counters
 }  // namespace obs
 }  // namespace craqr
 
@@ -170,44 +169,6 @@ Result<ops::Operator*> BuildMergeStage(
     const std::vector<geom::CellOverlap>& overlaps, double monitor_window,
     std::size_t sink_capacity);
 
-/// \brief One grid cell's live topology packaged for migration between
-/// fabricators (load-aware rebalancing, runtime::ShardedFabricator).
-///
-/// Produced by StreamFabricator::ExtractCell and consumed exactly once by
-/// StreamFabricator::AdoptCell on the destination. The payload carries the
-/// cell's operator pipeline *alive* — F/T RNG states, thinning phases and
-/// partial F batches move with it — which is what keeps delivered streams
-/// byte-exact across migrations: operator seeds are cell-local
-/// (OperatorSeed), so the destination continues the exact random sequence
-/// the source would have produced. Dropping an unconsumed CellMigration
-/// destroys the cell's topology (its queries lose that cell's stream), so
-/// callers must adopt or treat the migration as failed.
-class CellMigration {
- public:
-  CellMigration() noexcept;
-  CellMigration(CellMigration&&) noexcept;
-  CellMigration& operator=(CellMigration&&) noexcept;
-  CellMigration(const CellMigration&) = delete;
-  CellMigration& operator=(const CellMigration&) = delete;
-  ~CellMigration();
-
-  /// The migrating cell's grid index.
-  geom::CellIndex cell() const;
-
-  /// Source-local ids of the queries tapping the cell, deduplicated, in
-  /// deterministic (attribute, chain position) order. The adopter maps
-  /// each through its id translation table.
-  std::vector<query::QueryId> tap_query_ids() const;
-
-  /// True when no payload is held (default-constructed or moved-from).
-  bool empty() const { return rep_ == nullptr; }
-
- private:
-  friend class StreamFabricator;
-  struct Rep;  // defined in fabricator.cc; holds the private Cell
-  std::unique_ptr<Rep> rep_;
-};
-
 /// \brief Multi-query stream fabricator over a logical grid.
 class StreamFabricator {
  public:
@@ -242,11 +203,10 @@ class StreamFabricator {
       ops::SinkOperator::BatchCallback on_deliver);
 
   /// \brief Inserts a delivery endpoint with no taps: a partial query
-  /// whose per-cell streams all arrive later via AdoptCell. This is how a
-  /// rebalancing runtime materializes a query's presence on a destination
-  /// shard that previously owned none of its cells — the shell supplies
-  /// the merge head migrated taps reconnect to. Identical delivery
-  /// semantics to InsertQueryPartial (batch callback, no monitor).
+  /// whose per-cell chains are wired in afterwards. RestoreState re-creates
+  /// every snapshot query this way before rebuilding the cell topologies
+  /// that tap it. Identical delivery semantics to InsertQueryPartial
+  /// (batch callback, no monitor).
   Result<QueryStream> InsertQueryShell(
       ops::AttributeId attribute, const geom::Rect& region, double rate,
       ops::SinkOperator::BatchCallback on_deliver);
@@ -255,27 +215,6 @@ class StreamFabricator {
   /// stream is unwired right-to-left until a branching point; emptied
   /// T chains are re-merged, emptied cells are evicted from the hashmap.
   Status RemoveQuery(query::QueryId id);
-
-  /// \brief Detaches one materialized cell's topology for migration to a
-  /// peer fabricator: every tap edge into this fabricator's merge stages
-  /// is unwired (the taps travel inside the returned payload), the cell
-  /// leaves the hashmap, and the routing table is marked dirty. Must be
-  /// called at a batch boundary (no batch in flight). NotFound when the
-  /// cell is not materialized — for a rebalancer that just means the hot
-  /// cell has no live queries and only the ownership record moves.
-  Result<CellMigration> ExtractCell(const geom::CellIndex& index);
-
-  /// \brief Adopts a cell extracted from a peer fabricator. `id_map`
-  /// translates the source fabricator's local query ids (see
-  /// CellMigration::tap_query_ids) to this fabricator's — every tapping
-  /// query must already be live here (InsertQueryPartial/InsertQueryShell)
-  /// or Internal is returned and the payload is lost. Re-points the
-  /// chains' F report callbacks at this fabricator, rewires every tap into
-  /// the local merge heads, and registers the cell. Must be called at a
-  /// batch boundary.
-  Status AdoptCell(CellMigration migration,
-                   const std::unordered_map<query::QueryId, query::QueryId>&
-                       id_map);
 
   /// \name Checkpoint / restore (fault-tolerant runtime)
   ///
@@ -296,11 +235,10 @@ class StreamFabricator {
   /// Restrictions: supported only for partial-delivery fabricators (every
   /// query inserted via InsertQueryPartial / InsertQueryShell — the shape
   /// ShardedFabricator's shards have); must be called at a batch boundary
-  /// with no dispatch open and no unreplayed violation reports. String
-  /// tuple payloads are saved by value and re-interned on restore
-  /// (through FabricConfig::value_pool), so a snapshot is
-  /// process-independent and stays valid across pool generation
-  /// retirement.
+  /// with no unreplayed violation reports. String tuple payloads are
+  /// saved by value and re-interned on restore (through
+  /// FabricConfig::value_pool), so a snapshot is process-independent and
+  /// stays valid across pool generation retirement.
   ///@{
   /// Builds the delivery callback for a restored query, keyed by the
   /// query's local id *in the snapshot* (the restoring side translates to
@@ -310,8 +248,7 @@ class StreamFabricator {
   /// Serializes the fabricator into `out`.
   Status SaveState(std::string* out) const;
   /// Rebuilds from a SaveState blob; `id_map_out` (optional) receives the
-  /// snapshot-local -> restored-local query id translation (the exact
-  /// shape AdoptCell consumes).
+  /// snapshot-local -> restored-local query id translation.
   Status RestoreState(
       const std::string& bytes, const DeliveryFactory& make_delivery,
       std::unordered_map<query::QueryId, query::QueryId>* id_map_out);
@@ -339,32 +276,6 @@ class StreamFabricator {
 
   /// Copying convenience overload of the batch-native ProcessBatch.
   Status ProcessBatch(const std::vector<ops::Tuple>& batch);
-
-  /// \name Cooperative dispatch (work stealing)
-  ///
-  /// ProcessBatch split into a routing half and independently runnable
-  /// chain-group jobs, so idle peers can help drain one batch without
-  /// breaking per-cell ordering. BeginDispatch routes the batch into the
-  /// per-chain inboxes (exactly like ProcessBatch) and partitions the
-  /// touched chains into jobs such that chains sharing a tapping query —
-  /// whose partial streams feed the same (not thread-safe) sink — always
-  /// land in the same job. Distinct jobs may then run concurrently via
-  /// RunDispatchJob (each drives its chains' inboxes through PushBatch in
-  /// the deterministic routing order); FinishDispatch, called by the
-  /// owning thread after every job completed, ends the batch with the
-  /// usual FlushAll + canonical violation replay. The per-job tuple
-  /// streams, and therefore the delivered streams, are byte-identical to
-  /// the sequential ProcessBatch path.
-  ///@{
-  /// Routes `batch` (consumed) and publishes the job partition; returns
-  /// the job count. FailedPrecondition when a dispatch is already open.
-  Result<std::size_t> BeginDispatch(ops::TupleBatch& batch);
-  /// Runs one job. Safe to call concurrently for distinct jobs; each job
-  /// must run exactly once per BeginDispatch.
-  Status RunDispatchJob(std::size_t job);
-  /// Closes the dispatch (owner thread only, after all jobs completed).
-  Status FinishDispatch();
-  ///@}
 
   /// Flushes all cell topologies and query merge stages, then replays
   /// buffered violation reports sorted by completion time.
@@ -408,8 +319,7 @@ class StreamFabricator {
   /// Tap insertions that attached to an already-live stage (an equal-rate
   /// T or a shared P carve-out) instead of materializing a duplicate.
   std::uint64_t shared_prefix_hits() const { return shared_prefix_hits_; }
-  /// Tap edges detached so far (RemoveTap; migration unwires don't count —
-  /// those taps stay live and reattach on adoption).
+  /// Tap edges detached so far (RemoveTap).
   std::uint64_t taps_detached() const { return taps_detached_; }
   /// Live stages (T nodes or P carve-outs) currently tapped by >= 2
   /// queries — the instantaneous sharing census.
@@ -471,8 +381,6 @@ class StreamFabricator {
   const geom::Grid& grid() const { return grid_; }
 
  private:
-  friend struct CellMigration::Rep;  // carries a Cell across fabricators
-
   /// \brief A ref-counted shared P carve-out below one T node
   /// (FabricConfig::enable_sharing). All queries whose overlap region and
   /// operator-prefix signature match tap the same P; port 0 (the overlap)
@@ -490,8 +398,7 @@ class StreamFabricator {
     ops::PartitionOperator* op = nullptr;
     /// Broadcast stage on P port 0; one output per sharer.
     ops::PassThroughOperator* splitter = nullptr;
-    /// Queries tapping this carve-out (ref count = size()). Source-local
-    /// ids; AdoptCell translates them like ThinNode::tap_queries.
+    /// Queries tapping this carve-out (ref count = size()).
     std::vector<query::QueryId> sharers;
   };
 
@@ -513,8 +420,8 @@ class StreamFabricator {
     /// Monotone per-chain operator-creation counter; seeds the next F/T
     /// RNG (see OperatorSeed).
     std::uint64_t op_seq = 0;
-    /// The owning cell's flat grid index — the slot routed-tuple counts
-    /// land in (per-cell hot-spot telemetry).
+    /// The owning cell's flat grid index — the chain's row in the dense
+    /// route LUT and its key in the shared-stage census.
     std::uint32_t flat_cell = 0;
     /// This chain's bucket in the dense route LUT (0 = not in the table;
     /// live buckets start at 1 — bucket 0 is the unrouted sentinel).
@@ -577,8 +484,7 @@ class StreamFabricator {
   Result<Chain*> GetOrCreateChain(Cell* cell, const geom::CellIndex& index,
                                   ops::AttributeId attribute, double rate);
   /// Points `chain`'s F report callback at this fabricator's violation
-  /// buffer — set at chain creation and re-bound when a migrated chain
-  /// changes owners (AdoptCell).
+  /// buffer — set at chain creation and when RestoreState rebuilds it.
   void BindChainReportCallback(Chain* chain, ops::AttributeId attribute,
                                const geom::CellIndex& index);
   /// Map-phase lookup: the chain owning a tuple at (x, y) with the given
@@ -601,7 +507,7 @@ class StreamFabricator {
   /// changed — or when the table is disabled/dirty anyway.
   void RouteNoteChainAdded(std::uint32_t flat, ops::AttributeId attribute,
                            Chain* chain);
-  /// \brief Incremental LUT maintenance for chain eviction/extraction:
+  /// \brief Incremental LUT maintenance for chain eviction:
   /// clears the chain's LUT slot back to the unrouted sentinel and leaves
   /// a bucket hole. Schedules a compacting full rebuild once holes
   /// outnumber live buckets.
@@ -609,16 +515,10 @@ class StreamFabricator {
   /// Per-row map-lookup routing pass — the pre-histogram reference
   /// implementation, kept as the fallback for oversized tables.
   void RouteBatchFallback(ops::TupleBatch& batch);
-  /// The shared routing half of ProcessBatch / BeginDispatch: materialize,
-  /// rebuild the LUT if dirty, group the batch into per-chain inboxes
-  /// (batch consumed), update routed/unrouted counters.
+  /// The routing half of ProcessBatch: materialize, rebuild the LUT if
+  /// dirty, group the batch into per-chain inboxes (batch consumed),
+  /// update routed/unrouted counters.
   void RouteBatch(ops::TupleBatch& batch);
-  /// Partitions batch_touched_ into dispatch_jobs_: union-find over the
-  /// touched chains, uniting chains that share a tapping query.
-  void BuildDispatchJobs();
-  /// Drives every inbox ProcessBatch filled (in first-touch order) and
-  /// ends the batch: FlushAll + violation replay.
-  Status DispatchInboxesAndFlush();
   /// Replays buffered F reports to the violation callback, sorted by
   /// (completed_at, attribute, cell) — see the class comment.
   void ReplayPendingViolations();
@@ -654,12 +554,8 @@ class StreamFabricator {
   /// Chains whose inbox the in-flight ProcessBatch touched, in first-touch
   /// order; empty between calls.
   std::vector<Chain*> batch_touched_;
-  /// Open cooperative dispatch: disjoint chain groups over batch_touched_
-  /// (see BeginDispatch). Empty while no dispatch is in flight.
-  std::vector<std::vector<Chain*>> dispatch_jobs_;
-  /// Guards pending_violations_: with cooperative dispatch, concurrent
-  /// jobs' F callbacks append from several threads. Uncontended on the
-  /// sequential path.
+  /// Guards pending_violations_, which F report callbacks append to.
+  /// Uncontended: one thread drives a fabricator at a time.
   std::mutex violations_mu_;
   std::vector<PendingViolation> pending_violations_;
   std::uint64_t tuples_routed_ = 0;
@@ -676,13 +572,6 @@ class StreamFabricator {
   obs::Counter* obs_stages_shared_ = nullptr;
   obs::Counter* obs_taps_detached_ = nullptr;
   ///@}
-  /// Process-wide per-flat-cell routed-tuple counters
-  /// ("craqr.fabric.cell_routed.h<num_cells>") — the hot-cell signal for
-  /// load-aware rebalancing. Shared by every fabricator over an
-  /// equal-sized grid (shards of one runtime included); nullptr when the
-  /// grid is too fine for a dense bank. Observation-only and gated on
-  /// obs::IsEnabled().
-  obs::CounterBank* cell_routed_ = nullptr;
 
   /// \name Histogram-router state (see RebuildRouteTable / ProcessBatch)
   ///@{

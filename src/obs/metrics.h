@@ -41,7 +41,6 @@
 ///   craqr.rt<id>.shard<i>.{queue_wait_ns,process_ns,batch_latency_ns}
 ///   craqr.rt<id>.router.{enqueue_ns,drain_wait_ns}
 ///   craqr.engine.phase.{world,handler,drain,dispatch}_ns
-///   craqr.fabric.cell_routed.h<num_cells>       per-flat-cell counter bank
 /// `rt<id>` is a per-runtime instance scope (monotone id) so several
 /// runtimes in one process never alias each other's load counters.
 

@@ -15,8 +15,7 @@ namespace runtime {
 Result<std::unique_ptr<Shard>> Shard::Make(
     std::size_t index, const geom::Grid& grid,
     const fabric::FabricConfig& config, std::size_t queue_capacity,
-    const std::string& metrics_scope, std::size_t trace_capacity,
-    std::shared_ptr<StealDomain> steal_domain) {
+    const std::string& metrics_scope, std::size_t trace_capacity) {
   if (queue_capacity < 1) {
     return Status::InvalidArgument("shard queue capacity must be >= 1");
   }
@@ -32,12 +31,6 @@ Result<std::unique_ptr<Shard>> Shard::Make(
   auto shard = std::unique_ptr<Shard>(
       new Shard(index, grid, config, std::move(fabricator), queue_capacity,
                 scope, trace_capacity));
-  // Enroll in the work-stealing group before the worker starts: peers
-  // must only ever observe fully constructed members.
-  shard->steal_domain_ = std::move(steal_domain);
-  if (shard->steal_domain_ != nullptr) {
-    shard->steal_domain_->Register(shard.get());
-  }
   // F-operator reports fire on the worker thread mid-batch; buffer them in
   // the outbox so the router can replay them single-threaded. The epoch of
   // the in-flight batch task rides along so replay can be held back to an
@@ -70,7 +63,6 @@ Shard::Shard(std::size_t index, const geom::Grid& grid,
   batches_processed_ = obs::GetCounter(base + ".batches_processed");
   tuples_processed_ = obs::GetCounter(base + ".tuples_processed");
   busy_ns_ = obs::GetCounter(base + ".busy_ns");
-  steals_ = obs::GetCounter(base + ".steals");
   queue_wait_ns_ = obs::GetHistogram(base + ".queue_wait_ns");
   process_ns_ = obs::GetHistogram(base + ".process_ns");
   batch_latency_ns_ = obs::GetHistogram(base + ".batch_latency_ns");
@@ -85,10 +77,6 @@ void Shard::Stop() {
   }
   stopped_ = true;
   queue_.Close();
-  if (steal_domain_ != nullptr) {
-    // Wake idle workers so they observe the closed queue and exit.
-    steal_domain_->Signal();
-  }
   if (worker_.joinable()) {
     worker_.join();
   }
@@ -104,12 +92,6 @@ Shard::Task Shard::MakeBatchTask(ops::TupleBatch batch, std::uint64_t epoch) {
   return task;
 }
 
-void Shard::NoteEnqueued() {
-  if (steal_domain_ != nullptr) {
-    steal_domain_->Signal();
-  }
-}
-
 Status Shard::EnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
   // Account queue bytes *before* the push: the worker may pop and settle
   // the task the instant it lands, and the counter must never go negative.
@@ -119,7 +101,6 @@ Status Shard::EnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
     queue_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     return Status::FailedPrecondition("shard is stopped");
   }
-  NoteEnqueued();
   return Status::OK();
 }
 
@@ -129,7 +110,6 @@ Status Shard::TryEnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch) {
   queue_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   switch (queue_.TryPush(MakeBatchTask(std::move(batch), epoch))) {
     case PushResult::kAccepted:
-      NoteEnqueued();
       return Status::OK();
     case PushResult::kFull:
       queue_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
@@ -149,7 +129,6 @@ Status Shard::EnqueueBatchFor(ops::TupleBatch batch, std::uint64_t epoch,
   queue_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   switch (queue_.PushFor(MakeBatchTask(std::move(batch), epoch), timeout)) {
     case PushResult::kAccepted:
-      NoteEnqueued();
       return Status::OK();
     case PushResult::kFull:
       queue_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
@@ -188,7 +167,6 @@ Status Shard::RunControl(ControlFn fn) {
   if (!queue_.Push(std::move(task))) {
     return Status::FailedPrecondition("shard is stopped");
   }
-  NoteEnqueued();
   future.wait();
   return ctl_status;
 }
@@ -282,34 +260,8 @@ Status Shard::status() const {
 }
 
 void Shard::WorkerLoop() {
-  while (true) {
-    std::optional<Task> task;
-    if (steal_domain_ == nullptr) {
-      task = queue_.Pop();
-      if (!task.has_value()) {
-        return;  // closed and drained
-      }
-    } else {
-      // Steal-aware idle loop: own queue first, then the deepest peer's
-      // job board, then sleep until the domain signals new work. The
-      // version read before the scan makes a signal between the scan and
-      // the sleep impossible to miss.
-      for (;;) {
-        const std::uint64_t seen = steal_domain_->Version();
-        bool closed = false;
-        task = queue_.TryPop(&closed);
-        if (task.has_value()) {
-          break;
-        }
-        if (closed) {
-          return;
-        }
-        if (TryStealOnce()) {
-          continue;  // helped a peer; the own queue may have filled
-        }
-        steal_domain_->WaitForChange(seen);
-      }
-    }
+  // Pop returns nothing once the queue is closed and drained.
+  while (std::optional<Task> task = queue_.Pop()) {
     ProcessTask(std::move(*task));
   }
 }
@@ -343,8 +295,7 @@ void Shard::ProcessTask(Task task) {
     if (CRAQR_FAULT_FIRE("runtime.worker_throw", nullptr)) {
       throw std::runtime_error("fault injection: worker throw");
     }
-    status = steal_domain_ != nullptr ? ProcessBatchCooperative(task.batch)
-                                      : fabricator_->ProcessBatch(task.batch);
+    status = fabricator_->ProcessBatch(task.batch);
   } catch (const std::exception& e) {
     status = Status::Internal("shard " + std::to_string(index_) +
                               " worker threw at epoch " +
@@ -383,92 +334,6 @@ void Shard::ProcessTask(Task task) {
     }
     epoch_cv_.notify_all();
   }
-}
-
-Status Shard::ProcessBatchCooperative(ops::TupleBatch& batch) {
-  const Result<std::size_t> jobs = fabricator_->BeginDispatch(batch);
-  if (!jobs.ok()) {
-    return jobs.status();
-  }
-  const auto total = static_cast<std::uint32_t>(*jobs);
-  if (total <= 1) {
-    // Nothing shareable; skip the board (and its Signal broadcast).
-    const Status status =
-        total == 1 ? fabricator_->RunDispatchJob(0) : Status::OK();
-    const Status finished = fabricator_->FinishDispatch();
-    return status.ok() ? finished : status;
-  }
-  {
-    std::lock_guard<std::mutex> lock(job_mu_);
-    job_next_ = 0;
-    job_total_ = total;
-    job_done_ = 0;
-    job_status_ = Status::OK();
-    job_active_ = true;
-  }
-  steal_domain_->Signal();
-  // The owner claims too — it is never idle while peers help.
-  while (ClaimAndRunOneJob()) {
-  }
-  Status status;
-  {
-    std::unique_lock<std::mutex> lock(job_mu_);
-    job_cv_.wait(lock, [this] { return job_done_ == job_total_; });
-    job_active_ = false;
-    status = job_status_;
-  }
-  // Every job has completed and the board is closed: the owner again has
-  // exclusive fabricator access for the flush + violation replay.
-  const Status finished = fabricator_->FinishDispatch();
-  return status.ok() ? finished : status;
-}
-
-bool Shard::ClaimAndRunOneJob() {
-  std::uint32_t job = 0;
-  {
-    std::lock_guard<std::mutex> lock(job_mu_);
-    if (!job_active_ || job_next_ == job_total_) {
-      return false;
-    }
-    job = job_next_++;
-  }
-  // The board stays active until job_done_ reaches job_total_, which
-  // cannot happen before this job is accounted below — so the dispatch
-  // (and the fabricator topology under it) is stable while we run.
-  const Status status = fabricator_->RunDispatchJob(job);
-  std::lock_guard<std::mutex> lock(job_mu_);
-  if (!status.ok() && job_status_.ok()) {
-    job_status_ = status;
-  }
-  if (++job_done_ == job_total_) {
-    job_cv_.notify_all();
-  }
-  return true;
-}
-
-bool Shard::TryStealOnce() {
-  // Help the peer with the deepest backlog of unclaimed chain-group jobs.
-  Shard* best = nullptr;
-  std::uint32_t best_pending = 0;
-  for (Shard* peer : steal_domain_->MembersSnapshot()) {
-    if (peer == this) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(peer->job_mu_);
-    if (!peer->job_active_) {
-      continue;
-    }
-    const std::uint32_t pending = peer->job_total_ - peer->job_next_;
-    if (pending > best_pending) {
-      best = peer;
-      best_pending = pending;
-    }
-  }
-  if (best == nullptr || !best->ClaimAndRunOneJob()) {
-    return false;
-  }
-  steals_->Increment();
-  return true;
 }
 
 }  // namespace runtime

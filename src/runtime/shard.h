@@ -43,8 +43,7 @@
 ///
 /// The worker also keeps per-shard load telemetry — batches/tuples
 /// processed and the wall-clock time spent inside ProcessBatch — that the
-/// router surfaces through ShardedStats::per_shard as the measurement
-/// input for load-aware cell rebalancing. The counters live in the
+/// router surfaces through ShardedStats::per_shard. The counters live in the
 /// process-wide obs registry (one source of truth for Stats() and the
 /// metrics exporter) under `<scope>.shard<i>.*`; latency histograms
 /// (queue wait, processing time, enqueue->drain batch latency) and an
@@ -82,66 +81,6 @@ struct ShardOutbox {
   std::vector<ViolationEvent> violations;
 };
 
-class Shard;
-
-/// \brief Shared coordination state of one runtime's work-stealing shard
-/// group.
-///
-/// Shards register at creation; any producer-side event (task push, job
-/// board publish, queue close) calls Signal(), which bumps a version
-/// counter and wakes every idle worker. Idle workers run a version-guarded
-/// scan — record the version, try the own queue, try the peers' job
-/// boards, and only sleep until the version moves past what they saw — so
-/// a wakeup between the scan and the sleep is never lost.
-class StealDomain {
- public:
-  StealDomain() = default;
-  StealDomain(const StealDomain&) = delete;
-  StealDomain& operator=(const StealDomain&) = delete;
-
-  /// Adds a shard to the group (called once per shard, before its worker
-  /// can observe peers).
-  void Register(Shard* shard) {
-    std::lock_guard<std::mutex> lock(mu_);
-    members_.push_back(shard);
-  }
-
-  /// Wakes every idle worker in the group to re-scan for work.
-  void Signal() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  friend class Shard;
-
-  std::uint64_t Version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
-
-  /// Sleeps until Signal() has been called after `seen` was read.
-  void WaitForChange(std::uint64_t seen) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this, seen] { return version_ != seen; });
-  }
-
-  /// Stable copy of the member list (registration may still be appending
-  /// while earlier shards' workers already run).
-  std::vector<Shard*> MembersSnapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return members_;
-  }
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint64_t version_ = 0;
-  std::vector<Shard*> members_;
-};
-
 /// \brief A worker thread plus the StreamFabricator it exclusively drives.
 class Shard {
  public:
@@ -155,17 +94,12 @@ class Shard {
   /// `metrics_scope` prefixes the shard's registry metric names
   /// ("<scope>.shard<index>.*"); empty auto-allocates a fresh
   /// "craqr.rt<id>" instance scope. `trace_capacity` > 0 additionally
-  /// creates a span trace ring of that many events for the worker. A
-  /// non-null `steal_domain` enrolls the shard in a work-stealing group:
-  /// its worker helps drain peers' published chain-group jobs while its
-  /// own queue is empty, and its own batches are dispatched cooperatively
-  /// (fabric::StreamFabricator::BeginDispatch) so peers can help back.
+  /// creates a span trace ring of that many events for the worker.
   static Result<std::unique_ptr<Shard>> Make(
       std::size_t index, const geom::Grid& grid,
       const fabric::FabricConfig& config, std::size_t queue_capacity,
       const std::string& metrics_scope = std::string(),
-      std::size_t trace_capacity = 0,
-      std::shared_ptr<StealDomain> steal_domain = nullptr);
+      std::size_t trace_capacity = 0);
 
   ~Shard();
 
@@ -216,10 +150,10 @@ class Shard {
   /// over the same grid and config, discards the outbox, and clears any
   /// latched processing error. The swap runs as a control task, so it
   /// lands at a task boundary like every other piece of topology surgery.
-  /// The shard keeps its thread, queue and steal-domain membership (peers
-  /// hold raw pointers; only the fabricator state "crashes"). The caller
-  /// (ShardedFabricator::CrashAndRestore) is responsible for rebuilding
-  /// state from a checkpoint and replaying held epochs.
+  /// The shard keeps its thread, queue and outbox arena; only the
+  /// fabricator state "crashes". The caller (ShardedFabricator::
+  /// CrashAndRestore) is responsible for rebuilding state from a
+  /// checkpoint and replaying held epochs.
   Status CrashFabricator();
 
   /// Waits until every task enqueued so far has been processed.
@@ -295,12 +229,9 @@ class Shard {
   std::uint64_t tuples_processed() const {
     return tuples_processed_->value();
   }
-  /// Wall-clock nanoseconds the worker spent inside ProcessBatch — the
-  /// per-shard busy-time signal for load-aware rebalancing.
+  /// Wall-clock nanoseconds the worker spent inside ProcessBatch; against
+  /// tuples_processed it shows how much time each shard's cells cost.
   std::uint64_t busy_ns() const { return busy_ns_->value(); }
-  /// Chain-group jobs this shard's worker ran on behalf of a peer
-  /// ("<scope>.shard<i>.steals"); always 0 outside a steal domain.
-  std::uint64_t steals() const { return steals_->value(); }
   /// The worker's span trace ring; nullptr unless Make got a
   /// trace_capacity > 0.
   const obs::TraceRing* trace_ring() const { return trace_; }
@@ -353,29 +284,10 @@ class Shard {
 
   /// Builds a stamped batch task (shared by the three enqueue variants).
   Task MakeBatchTask(ops::TupleBatch batch, std::uint64_t epoch);
-  /// Post-push bookkeeping shared by the enqueue variants.
-  void NoteEnqueued();
 
   void WorkerLoop();
-  /// Runs one popped task (batch or control); shared by both worker-loop
-  /// variants.
+  /// Runs one popped task (batch or control).
   void ProcessTask(Task task);
-  /// The stamped-batch path inside a steal domain: routes the batch into
-  /// chain-group jobs, publishes the job board so idle peers can claim
-  /// groups, claims the rest itself, waits for stragglers, and closes the
-  /// batch (FinishDispatch: flush + canonical violation replay). Delivered
-  /// streams are byte-identical to the sequential path — jobs partition
-  /// the chains by shared tapping query, so no merge head ever sees two
-  /// threads.
-  Status ProcessBatchCooperative(ops::TupleBatch& batch);
-  /// Claims and runs one job from this shard's board (called by the owner
-  /// worker and by stealing peers). Returns false when nothing is
-  /// claimable. All board bookkeeping is under job_mu_ — claims are rare
-  /// relative to the work a claim buys, so the lock is cold.
-  bool ClaimAndRunOneJob();
-  /// Helps the peer with the most unclaimed jobs; returns true when a job
-  /// was stolen and run (the caller then re-checks its own queue first).
-  bool TryStealOnce();
 
   std::size_t index_;
   std::unique_ptr<fabric::StreamFabricator> fabricator_;
@@ -386,24 +298,6 @@ class Shard {
   BoundedTaskQueue<Task> queue_;
   std::thread worker_;
   bool stopped_ = false;
-
-  /// Work-stealing group; nullptr for fixed-ownership shards (the default
-  /// and the pre-stealing behaviour).
-  std::shared_ptr<StealDomain> steal_domain_;
-  /// \name Cooperative-dispatch job board (all fields guarded by job_mu_).
-  /// Active from publish until every chain-group job of the in-flight
-  /// batch completed; the owner cannot start its next task before then,
-  /// so a peer holding a claimed job always runs it against a stable
-  /// dispatch.
-  ///@{
-  std::mutex job_mu_;
-  std::condition_variable job_cv_;
-  std::uint32_t job_next_ = 0;
-  std::uint32_t job_total_ = 0;
-  std::uint32_t job_done_ = 0;
-  bool job_active_ = false;
-  Status job_status_;
-  ///@}
 
   mutable std::mutex outbox_mu_;
   ShardOutbox outbox_;
@@ -436,7 +330,6 @@ class Shard {
   obs::Counter* batches_processed_ = nullptr;
   obs::Counter* tuples_processed_ = nullptr;
   obs::Counter* busy_ns_ = nullptr;
-  obs::Counter* steals_ = nullptr;
   obs::LogHistogram* queue_wait_ns_ = nullptr;
   obs::LogHistogram* process_ns_ = nullptr;
   obs::LogHistogram* batch_latency_ns_ = nullptr;

@@ -41,19 +41,12 @@ Result<std::unique_ptr<ShardedFabricator>> ShardedFabricator::Make(
   // registry counters.
   runtime->metrics_scope_ =
       "craqr.rt" + std::to_string(obs::Registry::Global().NextInstanceId());
-  // One steal domain per runtime: idle workers scan only their siblings'
-  // job boards. Pointless with a single shard (no peers to help).
-  std::shared_ptr<StealDomain> steal_domain;
-  if (config.enable_stealing && config.num_shards >= 2) {
-    steal_domain = std::make_shared<StealDomain>();
-  }
   runtime->shards_.reserve(config.num_shards);
   for (std::size_t i = 0; i < config.num_shards; ++i) {
     CRAQR_ASSIGN_OR_RETURN(
         auto shard,
         Shard::Make(i, grid, config.fabric, config.queue_capacity,
-                    runtime->metrics_scope_, config.trace_capacity,
-                    steal_domain));
+                    runtime->metrics_scope_, config.trace_capacity));
     runtime->shards_.push_back(std::move(shard));
   }
   runtime->shard_inflight_epochs_.resize(config.num_shards);
@@ -73,12 +66,10 @@ Result<std::unique_ptr<ShardedFabricator>> ShardedFabricator::Make(
       obs::GetHistogram(runtime->metrics_scope_ + ".router.drain_wait_ns");
   runtime->router_trace_ = obs::Tracer::Global().CreateRing(
       runtime->metrics_scope_ + ".router", config.trace_capacity);
-  // Dense flat-cell -> shard table for the histogram router, seeded with
-  // the static cell-hash partition. Without rebalancing it never changes;
-  // with it, Rebalance() flips entries at epoch barriers — the table IS
-  // the epoch-versioned routing state. The trailing sentinel entry is the
-  // "outside R" bucket. Skipped (falling back to per-row hash routing)
-  // only for absurdly fine grids.
+  // Dense flat-cell -> shard table for the histogram router: the static
+  // cell-hash partition, built once and never changed. The trailing
+  // sentinel entry is the "outside R" bucket. Skipped (falling back to
+  // per-row hash routing) only for absurdly fine grids.
   if (grid.NumCells() <= (1u << 22)) {
     runtime->shard_for_flat_.resize(grid.NumCells() + 1);
     for (std::uint32_t q = 0; q < grid.CellsPerSide(); ++q) {
@@ -91,30 +82,6 @@ Result<std::unique_ptr<ShardedFabricator>> ShardedFabricator::Make(
     }
     runtime->shard_for_flat_.back() =
         static_cast<std::uint32_t>(config.num_shards);
-  }
-  if (config.enable_rebalancing) {
-    if (runtime->shard_for_flat_.empty()) {
-      return Status::InvalidArgument(
-          "rebalancing requires the dense routing table (grid too fine)");
-    }
-    runtime->rebalancer_ =
-        std::make_unique<Rebalancer>(config.rebalance, config.num_shards);
-    // The per-cell routed bank is process-wide per grid size (shared with
-    // every fabricator over an equal grid), so load is read as deltas
-    // against the snapshot taken here.
-    runtime->cell_routed_bank_ = obs::GetCounterBank(
-        "craqr.fabric.cell_routed.h" + std::to_string(grid.NumCells()),
-        grid.NumCells());
-    runtime->cell_routed_prev_.resize(grid.NumCells());
-    for (std::size_t c = 0; c < grid.NumCells(); ++c) {
-      runtime->cell_routed_prev_[c] = runtime->cell_routed_bank_->value(c);
-    }
-    runtime->shard_busy_prev_.assign(config.num_shards, 0);
-    runtime->rebalance_migrations_ =
-        obs::GetCounter("craqr.rebalance.migrations");
-    runtime->rebalance_moved_cells_ =
-        obs::GetCounter("craqr.rebalance.moved_cells");
-    runtime->rebalance_plan_ns_ = obs::GetHistogram("craqr.rebalance.plan_ns");
   }
   // Admission / fault telemetry: process-wide families registered
   // unconditionally (functional counters — tests and the exporter smoke
@@ -166,18 +133,11 @@ Result<std::unique_ptr<ShardedFabricator>> ShardedFabricator::Make(
 }
 
 std::size_t ShardedFabricator::ShardForCell(const geom::CellIndex& index) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ShardForCellLocked(index);
-}
-
-std::size_t ShardedFabricator::ShardForCellLocked(
-    const geom::CellIndex& index) const {
+  // No lock: the placement is fixed in Make.
   if (!shard_for_flat_.empty()) {
     return shard_for_flat_[grid_.FlatIndex(index)];
   }
-  // Table-less fallback (oversized grid): rebalancing is rejected in Make
-  // for these, so the static hash partition is always current.
-  return geom::CellIndexHash{}(index) % shards_.size();
+  return geom::CellIndexHash{}(index) % shards_.size();  // oversized grid
 }
 
 ShardedFabricator::~ShardedFabricator() {
@@ -417,7 +377,7 @@ Status ShardedFabricator::EnqueueBatchLocked(ops::TupleBatch& batch,
         ++router_unrouted_;  // outside R; shards count in-grid drops
         continue;
       }
-      sub[ShardForCellLocked(*cell)].AppendRow(batch, i);
+      sub[ShardForCell(*cell)].AppendRow(batch, i);
     }
   }
   batch.Clear();
@@ -604,162 +564,6 @@ void ShardedFabricator::SetReplayHorizon(std::uint64_t epoch) {
   }
 }
 
-Result<std::size_t> ShardedFabricator::Rebalance() {
-  std::unique_lock<std::mutex> lock(mu_);
-  Result<std::size_t> moved = RebalanceLocked();
-  // The barrier inside collected deliveries and violation reports; replay
-  // the ones the horizon releases exactly like any other drain point.
-  ReplayViolationsAndUnlock(lock);
-  return moved;
-}
-
-Result<std::size_t> ShardedFabricator::RebalanceLocked() {
-  if (rebalancer_ == nullptr) {
-    return Status::FailedPrecondition(
-        "rebalancing is not enabled (ShardedConfig::enable_rebalancing)");
-  }
-  // Migrations are topology surgery and must happen between batches,
-  // exactly like query insertion: full barrier, then collect so no
-  // delivery is parked in an outbox while its producing cell moves.
-  CRAQR_RETURN_NOT_OK(BarrierLocked());
-  CRAQR_RETURN_NOT_OK(CollectLocked());
-  const bool timed = obs::IsEnabled();
-  const std::uint64_t t0 = timed ? obs::NowNs() : 0;
-  // Load = deltas since the previous call, so each plan sees one window's
-  // traffic instead of the process lifetime (which would never let a
-  // cooled-down hot spot stop looking hot).
-  const std::size_t num_cells = grid_.NumCells();
-  std::vector<std::uint64_t> cell_load(num_cells, 0);
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    const std::uint64_t now = cell_routed_bank_->value(c);
-    cell_load[c] = now - std::min(now, cell_routed_prev_[c]);
-    cell_routed_prev_[c] = now;
-  }
-  std::vector<std::uint64_t> shard_busy(shards_.size(), 0);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::uint64_t now = shards_[i]->LoadSnapshot().busy_ns;
-    shard_busy[i] = now - std::min(now, shard_busy_prev_[i]);
-    shard_busy_prev_[i] = now;
-  }
-  // shard_for_flat_ doubles as the owner column; its trailing sentinel is
-  // past the planner's min(cell_load, cell_owner) bound and ignored.
-  const RebalancePlan plan =
-      rebalancer_->Plan(cell_load, shard_for_flat_, shard_busy);
-  if (timed) {
-    rebalance_plan_ns_->Record(obs::NowNs() - t0);
-  }
-  if (plan.moves.empty()) {
-    return static_cast<std::size_t>(0);
-  }
-  std::size_t moved = 0;
-  for (const CellMove& move : plan.moves) {
-    CRAQR_RETURN_NOT_OK(MigrateCellLocked(move));
-    ++moved;
-  }
-  ++routing_version_;
-  ++rebalance_events_;
-  cells_migrated_ += moved;
-  rebalance_migrations_->Increment();
-  rebalance_moved_cells_->Add(moved);
-  if (config_.checkpoint.enabled) {
-    // Cells moved between fabricators; the old per-shard blobs no longer
-    // describe the live partition.
-    CRAQR_RETURN_NOT_OK(CheckpointLocked());
-  }
-  return moved;
-}
-
-Status ShardedFabricator::MigrateCellLocked(const CellMove& move) {
-  if (move.from >= shards_.size() || move.to >= shards_.size() ||
-      move.from == move.to || move.flat_cell >= grid_.NumCells()) {
-    return Status::Internal("rebalance plan produced an invalid move");
-  }
-  const std::uint32_t side = grid_.CellsPerSide();
-  const geom::CellIndex index{move.flat_cell / side, move.flat_cell % side};
-  Shard* src = shards_[move.from].get();
-  Shard* dst = shards_[move.to].get();
-
-  // Detach the live cell from the source fabricator (on its worker, like
-  // every other topology command). NotFound means no query currently taps
-  // the cell — only the ownership record moves.
-  fabric::CellMigration payload;
-  Status extracted = Status::OK();
-  CRAQR_RETURN_NOT_OK(
-      src->RunControl([&payload, &extracted, &index](fabric::StreamFabricator& f) {
-        Result<fabric::CellMigration> r = f.ExtractCell(index);
-        if (r.ok()) {
-          payload = r.MoveValue();
-        } else {
-          extracted = r.status();
-        }
-      }));
-  if (!extracted.ok()) {
-    if (extracted.code() == StatusCode::kNotFound) {
-      shard_for_flat_[move.flat_cell] = static_cast<std::uint32_t>(move.to);
-      return Status::OK();
-    }
-    return extracted;
-  }
-
-  // Translate the payload's source-local tapping-query ids to
-  // destination-local ids, materializing a delivery shell on the
-  // destination for any query that owned no cell there yet.
-  std::unordered_map<query::QueryId, query::QueryId> id_map;
-  for (const query::QueryId src_local : payload.tap_query_ids()) {
-    query::QueryId router_id = 0;
-    QueryState* qs = nullptr;
-    for (auto& [id, state] : queries_) {
-      for (const ShardAttachment& a : state.attachments) {
-        if (a.shard == move.from && a.local_id == src_local) {
-          router_id = id;
-          qs = &state;
-          break;
-        }
-      }
-      if (qs != nullptr) {
-        break;
-      }
-    }
-    if (qs == nullptr) {
-      return Status::Internal("migrating cell " + index.ToString() +
-                              " taps a query unknown to the router");
-    }
-    query::QueryId dst_local = 0;
-    for (const ShardAttachment& a : qs->attachments) {
-      if (a.shard == move.to) {
-        dst_local = a.local_id;
-        break;
-      }
-    }
-    if (dst_local == 0) {
-      Result<fabric::QueryStream> shell =
-          Status::Internal("shell insert did not run");
-      const fabric::QueryStream handle = qs->stream;
-      CRAQR_RETURN_NOT_OK(dst->RunControl(
-          [&shell, dst, router_id, &handle](fabric::StreamFabricator& f) {
-            shell = f.InsertQueryShell(
-                handle.attribute, handle.region, handle.rate,
-                [dst, router_id](const ops::TupleBatch& batch) {
-                  dst->DeliverBatch(router_id, batch);
-                });
-          }));
-      CRAQR_RETURN_NOT_OK(shell.status());
-      dst_local = shell->id;
-      qs->attachments.push_back({move.to, dst_local});
-    }
-    id_map.emplace(src_local, dst_local);
-  }
-
-  Status adopted = Status::OK();
-  CRAQR_RETURN_NOT_OK(dst->RunControl(
-      [&payload, &adopted, &id_map](fabric::StreamFabricator& f) {
-        adopted = f.AdoptCell(std::move(payload), id_map);
-      }));
-  CRAQR_RETURN_NOT_OK(adopted);
-  shard_for_flat_[move.flat_cell] = static_cast<std::uint32_t>(move.to);
-  return Status::OK();
-}
-
 Result<fabric::QueryStream> ShardedFabricator::InsertQuery(
     ops::AttributeId attribute, const geom::Rect& region, double rate) {
   std::unique_lock<std::mutex> lock(mu_);
@@ -808,7 +612,7 @@ Result<fabric::QueryStream> ShardedFabricator::InsertQueryLocked(
   // then deterministic).
   std::vector<std::vector<geom::CellOverlap>> per_shard(shards_.size());
   for (const auto& overlap : overlaps) {
-    per_shard[ShardForCellLocked(overlap.cell)].push_back(overlap);
+    per_shard[ShardForCell(overlap.cell)].push_back(overlap);
     qs.cells.push_back(overlap.cell);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -1448,25 +1252,6 @@ Result<ShardedStats> ShardedFabricator::SnapshotLocked() const {
   stats.pool_generations_retired = pool.generations_retired();
   stats.memory_pressure =
       governor_ != nullptr ? static_cast<int>(governor_->pressure()) : 0;
-  stats.routing_version = routing_version_;
-  stats.rebalance_events = rebalance_events_;
-  stats.cells_migrated = cells_migrated_;
-  // Routing-table ownership census; cheap relative to the barrier above
-  // and coherent with it (the table only changes under mu_).
-  std::vector<std::size_t> cells_owned(shards_.size(), 0);
-  if (!shard_for_flat_.empty()) {
-    for (std::size_t c = 0; c + 1 < shard_for_flat_.size(); ++c) {
-      if (shard_for_flat_[c] < cells_owned.size()) {
-        ++cells_owned[shard_for_flat_[c]];
-      }
-    }
-  } else {
-    for (std::uint32_t q = 0; q < grid_.CellsPerSide(); ++q) {
-      for (std::uint32_t r = 0; r < grid_.CellsPerSide(); ++r) {
-        ++cells_owned[ShardForCellLocked({q, r})];
-      }
-    }
-  }
   stats.per_shard.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = *shards_[i];
@@ -1499,8 +1284,6 @@ Result<ShardedStats> ShardedFabricator::SnapshotLocked() const {
     load.batches_processed = worker.batches_processed;
     load.busy_ns = worker.busy_ns;
     load.queue_depth = worker.queue_depth;
-    load.steals = shard.steals();
-    load.cells_owned = cells_owned[i];
   }
   for (const auto& [id, qs] : queries_) {
     (void)id;
@@ -1543,7 +1326,7 @@ Status ShardedFabricator::ValidateInvariants() const {
       }
     }
     for (const geom::CellIndex& cell : qs.cells) {
-      const std::size_t owner = ShardForCellLocked(cell);
+      const std::size_t owner = ShardForCell(cell);
       const bool attached =
           std::any_of(qs.attachments.begin(), qs.attachments.end(),
                       [owner](const ShardAttachment& a) {

@@ -19,7 +19,6 @@
 #include "ops/tuple_batch.h"
 #include "query/query.h"
 #include "runtime/memory_governor.h"
-#include "runtime/rebalancer.h"
 #include "runtime/shard.h"
 
 /// \file sharded_fabricator.h
@@ -160,20 +159,6 @@ struct ShardedConfig {
   /// worker plus one for the router; see obs/trace.h). 0 (the default)
   /// creates no rings — tracing off, zero cost.
   std::size_t trace_capacity = 0;
-  /// Work stealing (num_shards >= 2): an idle shard worker claims
-  /// chain-group jobs from the busiest peer's in-flight batch instead of
-  /// sleeping, so transient bursts don't serialize on one worker.
-  /// Delivered streams stay byte-exact (jobs partition chains by shared
-  /// tapping query; see fabric::StreamFabricator::BeginDispatch). Off by
-  /// default — the fixed-ownership worker loop.
-  bool enable_stealing = false;
-  /// Load-aware cell rebalancing: Rebalance() becomes a live operation
-  /// that migrates hot cells between shard fabricators at an epoch
-  /// barrier, turning the static cell-hash partition into an
-  /// epoch-versioned routing table. Off by default.
-  bool enable_rebalancing = false;
-  /// Planner hysteresis knobs; used when enable_rebalancing.
-  RebalanceConfig rebalance;
   /// Credit-based admission / overload shedding knobs.
   AdmissionConfig admission;
   /// Epoch-barrier checkpoint/restore knobs.
@@ -187,9 +172,9 @@ struct ShardedConfig {
 };
 
 /// \brief Per-shard load telemetry (one entry per shard in
-/// ShardedStats::per_shard) — the measurement input for load-aware cell
-/// rebalancing: a shard whose busy_ns/tuples_enqueued ratio towers over
-/// its siblings owns the hot cells.
+/// ShardedStats::per_shard): a shard whose busy_ns/tuples_enqueued ratio
+/// towers over its siblings owns the costly cells of the static cell-hash
+/// placement.
 ///
 /// **Consistency contract.** Snapshot()/TrySnapshot() fill every entry
 /// *after* a full cross-shard barrier, and each shard's fields are read
@@ -215,11 +200,6 @@ struct ShardLoadStats {
   std::uint64_t busy_ns = 0;
   /// Tasks queued at snapshot time (0 after the snapshot's barrier).
   std::size_t queue_depth = 0;
-  /// Chain-group jobs this worker claimed from peers' in-flight batches
-  /// (0 unless work stealing is enabled).
-  std::uint64_t steals = 0;
-  /// Grid cells the routing table currently assigns to this shard.
-  std::size_t cells_owned = 0;
 };
 
 /// \brief Aggregated runtime counters (see Snapshot()).
@@ -249,13 +229,6 @@ struct ShardedStats {
   /// 2 hard; always 0 with governance disabled).
   int memory_pressure = 0;
   ///@}
-  /// Epoch-versioned routing-table generation: bumped once per Rebalance()
-  /// call that migrated at least one cell.
-  std::uint64_t routing_version = 0;
-  /// Rebalance() calls that migrated at least one cell.
-  std::uint64_t rebalance_events = 0;
-  /// Total cells migrated across all rebalance events.
-  std::uint64_t cells_migrated = 0;
   /// \name Multi-query sharing census (fabric::FabricConfig::enable_sharing)
   ///@{
   /// Tap insertions that attached to an already-live stage (equal-rate T
@@ -362,24 +335,9 @@ class ShardedFabricator {
   /// Grid cells a query's region overlaps (for handler subscriptions).
   Result<std::vector<geom::CellIndex>> QueryCells(query::QueryId id) const;
 
-  /// The shard currently owning a grid cell. Before any rebalance this is
-  /// the static cell-hash partition; after one it reflects the live
-  /// epoch-versioned routing table. Takes the runtime mutex — do not call
-  /// from inside a violation callback that already holds it (there are
-  /// none: callbacks run with the mutex released).
+  /// The shard owning a grid cell: the static cell-hash partition
+  /// (CellIndexHash mod num_shards), fixed for the runtime's lifetime.
   std::size_t ShardForCell(const geom::CellIndex& index) const;
-
-  /// \brief Load-aware cell rebalancing step (requires
-  /// ShardedConfig::enable_rebalancing). Runs a full epoch barrier,
-  /// collects per-cell routed-tuple deltas since the previous call plus
-  /// per-shard busy-time deltas, asks the Rebalancer for a migration plan,
-  /// and executes it: each moved cell's live operator chains are extracted
-  /// from the source shard's fabricator and adopted by the destination's
-  /// (seeds are cell-local, so delivered streams stay byte-exact), then
-  /// the flat-cell routing table entry is flipped. Returns the number of
-  /// cells migrated (0 when balanced or below trigger). Call between
-  /// epochs — the engine invokes it right after DrainThrough.
-  Result<std::size_t> Rebalance();
 
   /// \name Epoch-barrier checkpoint / crash recovery
   /// (requires ShardedConfig::checkpoint.enabled)
@@ -395,7 +353,7 @@ class ShardedFabricator {
   /// epoch stamps, producing delivered streams byte-identical to a run
   /// with no crash (pinned in tests/runtime_checkpoint_test.cc). One
   /// checkpoint is taken automatically at construction and refreshed
-  /// after every successful topology change (insert/remove/rebalance), so
+  /// after every successful topology change (insert/remove), so
   /// the snapshot's attachment map always matches the live topology.
   ///@{
   /// Takes a fresh checkpoint at a full epoch barrier.
@@ -588,13 +546,6 @@ class ShardedFabricator {
                                                 const geom::Rect& region,
                                                 double rate);
   Status RemoveQueryLocked(query::QueryId id);
-  /// Owner lookup under mu_ (internal callers already hold the mutex).
-  std::size_t ShardForCellLocked(const geom::CellIndex& index) const;
-  /// Barrier + collect + plan + migrate; returns cells moved.
-  Result<std::size_t> RebalanceLocked();
-  /// Moves one cell's chains from `move.from` to `move.to` and flips its
-  /// routing-table entry. The caller holds mu_ and has barriered.
-  Status MigrateCellLocked(const CellMove& move);
   /// Barrier + collect + serialize every shard + reset replay logs.
   Status CheckpointLocked();
   /// Fail-stop `victim` and rebuild it from checkpoint_ + its replay log.
@@ -739,29 +690,6 @@ class ShardedFabricator {
   std::vector<std::uint32_t> row_shards_;
   std::vector<std::uint32_t> shard_counts_;
   std::vector<std::uint32_t> grouped_rows_;
-  ///@}
-  /// \name Load-aware rebalancing state (enable_rebalancing only)
-  ///@{
-  /// Greedy planner with hysteresis; nullptr when rebalancing is off.
-  std::unique_ptr<Rebalancer> rebalancer_;
-  /// Per-flat-cell routed-tuple bank ("craqr.fabric.cell_routed.h<N>").
-  /// Process-wide per grid size, so deltas are taken against the snapshot
-  /// below rather than absolute values.
-  obs::CounterBank* cell_routed_bank_ = nullptr;
-  /// Bank values at the previous Rebalance() (or at creation), so each
-  /// plan sees only the traffic of the last window.
-  std::vector<std::uint64_t> cell_routed_prev_;
-  /// Per-shard busy_ns at the previous Rebalance(), same windowing.
-  std::vector<std::uint64_t> shard_busy_prev_;
-  /// Routing-table generation + migration counters (ShardedStats fields).
-  std::uint64_t routing_version_ = 0;
-  std::uint64_t rebalance_events_ = 0;
-  std::uint64_t cells_migrated_ = 0;
-  /// Process-wide rebalance telemetry (functional counters for tests and
-  /// the bench harness; plan_ns is observation-gated).
-  obs::Counter* rebalance_migrations_ = nullptr;
-  obs::Counter* rebalance_moved_cells_ = nullptr;
-  obs::LogHistogram* rebalance_plan_ns_ = nullptr;
   ///@}
 };
 

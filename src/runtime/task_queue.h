@@ -100,27 +100,6 @@ class BoundedTaskQueue {
     return item;
   }
 
-  /// Non-blocking pop for work-stealing consumers that interleave their
-  /// own queue with peers' job boards. Returns std::nullopt when nothing
-  /// is queued; `*closed` (optional) reports whether the queue is closed
-  /// and fully drained — the consumer's exit signal.
-  std::optional<T> TryPop(bool* closed = nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) {
-      if (closed != nullptr) {
-        *closed = closed_;
-      }
-      return std::nullopt;
-    }
-    if (closed != nullptr) {
-      *closed = false;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
   /// Closes the queue: pending items remain poppable, further pushes fail,
   /// and blocked consumers wake up.
   void Close() {

@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -114,6 +116,18 @@ TEST(CostModelTest, KindCostsAreDistinct) {
             costs.CostOf(ops::OperatorKind::kThin));
   EXPECT_GT(costs.CostOf(ops::OperatorKind::kThin),
             costs.CostOf(ops::OperatorKind::kPassThrough));
+}
+
+TEST(CostModelTest, EveryKindHasAFinitePositiveCost) {
+  const OperatorCosts costs;
+  // Ord keeps the 1.0 unit price, so no cost report moves.
+  EXPECT_EQ(costs.CostOf(ops::OperatorKind::kReorder), 1.0);
+  for (std::size_t k = 0; k < ops::kNumOperatorKinds; ++k) {
+    const auto kind = static_cast<ops::OperatorKind>(k);
+    const double cost = costs.CostOf(kind);
+    EXPECT_TRUE(std::isfinite(cost)) << ops::OperatorKindLabel(kind);
+    EXPECT_GT(cost, 0.0) << ops::OperatorKindLabel(kind);
+  }
 }
 
 TEST(CostModelTest, SharedTopologyCostsLessThanNaive) {

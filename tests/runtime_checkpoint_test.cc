@@ -433,9 +433,9 @@ TEST(RuntimeCheckpointTest, TruncatedReplayLogBlocksRecovery) {
 
 // ---------------------------------------------------------------------------
 // Engine-level pin: the full closed-loop engine (incentives, budget tuner,
-// aggressive rebalancing + work stealing, multi-query sharing) with shard
-// crashes injected at epoch boundaries mid-churn must deliver the exact
-// byte streams of the unsharded, never-crashed engine.
+// periodic checkpoints, multi-query sharing) with shard crashes injected
+// at epoch boundaries mid-churn must deliver the exact byte streams of the
+// unsharded, never-crashed engine.
 
 sensing::CrowdWorld MakeEngineWorld(std::size_t sensors) {
   sensing::PopulationConfig pc;
@@ -482,8 +482,8 @@ struct EngineRunResult {
   }
 };
 
-/// The rebalance suite's churn workload (hot-corner rain query, temp query
-/// cancelled and replaced mid-run, incentive loop live throughout), with
+/// A churn workload (hot-corner rain query, temp query cancelled and
+/// replaced mid-run, incentive loop live throughout), with
 /// periodic checkpoints and — when `crashes` — the "runtime.shard_crash"
 /// fault point armed on an explicit epoch schedule.
 void RunCrashChurnEngine(std::size_t num_shards, std::size_t pipeline_depth,
@@ -500,11 +500,6 @@ void RunCrashChurnEngine(std::size_t num_shards, std::size_t pipeline_depth,
   config.num_shards = num_shards;
   config.pipeline_depth = pipeline_depth;
   if (num_shards > 1) {
-    config.rebalance_every_steps = 1;
-    config.rebalance.imbalance_trigger = 1.0;
-    config.rebalance.min_cell_tuples = 1;
-    config.rebalance.cooldown_events = 1;
-    config.enable_work_stealing = true;
     config.checkpoint_every_steps = 3;
   }
   if (crashes) {
