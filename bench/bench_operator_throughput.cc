@@ -564,9 +564,10 @@ BENCHMARK(BM_PartitionSweepMask)->Arg(1)->Arg(4);
 
 // ---------------------------------------------------------------------------
 // Histogram routing: the fabricator's single-pass
-// count -> prefix-sum -> scatter map phase, end to end (routing + grouped
-// inbox copies + chain processing), on a multi-cell multi-attribute
-// topology. Logged by release-bench as the routing-throughput trajectory.
+// count -> prefix-sum -> scatter map phase, end to end (routing + the
+// per-chain selection handoff + chain processing), on a multi-cell
+// multi-attribute topology. Logged by release-bench as the
+// routing-throughput trajectory.
 
 void BM_RouteHistogram(benchmark::State& state) {
   const auto grid =

@@ -24,6 +24,7 @@
 /// engine-step overlap.
 ///
 /// Usage: bench_sharded_throughput [--json <path>] [--metrics-json <path>]
+///                                 [--drain-every <n>]
 ///                                 [batches] [batch_size] [queries]
 ///        bench_sharded_throughput [--json <path>] [--metrics-json <path>]
 ///                                 --engine-step [steps] [sensors]
@@ -34,7 +35,11 @@
 /// BENCH_*.json perf trajectory the release-bench CI job uploads.
 /// `--metrics-json <path>` additionally dumps the final obs registry
 /// snapshot (per-operator-kind counters, per-shard latency histograms,
-/// router histograms) as obs::SnapshotJson output.
+/// router histograms) as obs::SnapshotJson output. `--drain-every <n>`
+/// makes the sharded sweep call Drain() after every n-th EnqueueBatch
+/// (default 0: one Drain at the end), to measure what bounding the
+/// outbox and queue backlog between drains costs or saves; its rows are
+/// named `BM_ShardedSweep/shards:<s>/drain_every:<n>`.
 
 #include <algorithm>
 #include <chrono>
@@ -183,7 +188,8 @@ RunResult RunSingleThreaded(const std::vector<std::vector<ops::Tuple>>& batches,
 }
 
 RunResult RunSharded(const std::vector<std::vector<ops::Tuple>>& batches,
-                     std::size_t queries, std::size_t num_shards) {
+                     std::size_t queries, std::size_t num_shards,
+                     std::size_t drain_every) {
   runtime::ShardedConfig config;
   config.num_shards = num_shards;
   config.fabric = BenchFabricConfig();
@@ -193,9 +199,15 @@ RunResult RunSharded(const std::vector<std::vector<ops::Tuple>>& batches,
     std::exit(1);
   }
   auto result = TimedRun(batches, [&] {
+    std::size_t enqueued = 0;
     for (const auto& batch : batches) {
       if (!fab->EnqueueBatch(batch).ok()) {
         std::fprintf(stderr, "EnqueueBatch failed\n");
+        std::exit(1);
+      }
+      if (drain_every > 0 && ++enqueued % drain_every == 0 &&
+          !fab->Drain().ok()) {
+        std::fprintf(stderr, "Drain failed\n");
         std::exit(1);
       }
     }
@@ -357,6 +369,9 @@ int main(int argc, char** argv) {
   // --metrics-json <path>: dump the obs registry as JSON on success.
   const std::string metrics_path =
       benchjson::ExtractFlagValue(&argc, argv, "--metrics-json");
+  // --drain-every <n>: Drain() after every n-th batch of the sweep.
+  const std::string drain_text =
+      benchjson::ExtractFlagValue(&argc, argv, "--drain-every");
   const auto dump_metrics = [&metrics_path]() {
     if (metrics_path.empty()) {
       return true;
@@ -421,10 +436,20 @@ int main(int argc, char** argv) {
   const std::size_t batches = parse_arg(1, 150);
   const std::size_t batch_size = parse_arg(2, 512);
   const std::size_t queries = parse_arg(3, 24);
+  if (drain_text.size() > 8 ||
+      drain_text.find_first_not_of("0123456789") != std::string::npos) {
+    std::fprintf(stderr, "invalid --drain-every '%s' (expected 0..%zu)\n",
+                 drain_text.c_str(), kMaxArg);
+    return 2;
+  }
+  const std::size_t drain_every = std::min<std::size_t>(
+      drain_text.empty() ? 0 : std::stoul(drain_text), kMaxArg);
 
   std::printf("sharded-runtime throughput sweep\n");
   std::printf("  workload: %zu queries, %zu batches x %zu tuples\n", queries,
               batches, batch_size);
+  std::printf("  drain every: %zu batches (0: once, at the end)\n",
+              drain_every);
   std::printf("  hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
   std::printf("%-28s %14s %12s %10s\n", "configuration", "tuples/sec",
@@ -440,7 +465,7 @@ int main(int argc, char** argv) {
 
   double one_shard = 0.0;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const RunResult r = RunSharded(all_batches, queries, shards);
+    const RunResult r = RunSharded(all_batches, queries, shards, drain_every);
     if (shards == 1) {
       one_shard = r.tuples_per_sec;
     }
@@ -449,8 +474,11 @@ int main(int argc, char** argv) {
     std::printf("%-28s %14.0f %12llu %9.2fx\n", label.c_str(),
                 r.tuples_per_sec, static_cast<unsigned long long>(r.routed),
                 one_shard > 0.0 ? r.tuples_per_sec / one_shard : 0.0);
-    AddJsonEntry("BM_ShardedSweep/shards:" + std::to_string(shards), batches,
-                 r.tuples_per_sec);
+    AddJsonEntry("BM_ShardedSweep/shards:" + std::to_string(shards) +
+                     (drain_every > 0
+                          ? "/drain_every:" + std::to_string(drain_every)
+                          : std::string()),
+                 batches, r.tuples_per_sec);
     if (r.routed != base.routed) {
       std::fprintf(stderr,
                    "FAIL: sharded routed %llu tuples, baseline routed %llu\n",

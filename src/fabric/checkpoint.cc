@@ -95,11 +95,6 @@ Status StreamFabricator::SaveState(std::string* out) const {
     w.WriteU64(attrs.size());
     for (const ops::AttributeId attribute : attrs) {
       const Chain& chain = cell.chains.at(attribute);
-      if (!chain.inbox.empty()) {
-        return Status::FailedPrecondition(
-            "checkpoint requires a batch boundary: chain inbox of cell " +
-            index.ToString() + " is not drained");
-      }
       w.WriteU32(attribute);
       w.WriteDouble(chain.f_target);
       w.WriteU64(chain.op_seq);

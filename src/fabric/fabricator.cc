@@ -729,28 +729,26 @@ StreamFabricator::Chain* StreamFabricator::RouteTarget(
     double x, double y, ops::AttributeId attribute) {
   const auto index = grid_.CellContaining(x, y);
   if (!index.has_value()) {
-    ++tuples_unrouted_;
     return nullptr;
   }
   const auto cell_it = cells_.find(*index);
   if (cell_it == cells_.end()) {
-    ++tuples_unrouted_;
     return nullptr;
   }
   const auto chain_it = cell_it->second->chains.find(attribute);
   if (chain_it == cell_it->second->chains.end()) {
-    ++tuples_unrouted_;
     return nullptr;
   }
-  ++tuples_routed_;
   return &chain_it->second;
 }
 
 Status StreamFabricator::ProcessTuple(const ops::Tuple& tuple) {
   Chain* chain = RouteTarget(tuple.point.x, tuple.point.y, tuple.attribute);
   if (chain == nullptr) {
+    ++tuples_unrouted_;
     return Status::OK();
   }
+  ++tuples_routed_;
   return chain->flatten->Push(tuple);
 }
 
@@ -763,7 +761,7 @@ void StreamFabricator::RebuildRouteTable() {
   route_holes_ = 0;
   // Deterministic bucket enumeration: (flat cell, attribute) ascending,
   // independent of hashmap iteration order, so the dispatch order of the
-  // grouped copies is reproducible run to run.
+  // routed groups is reproducible run to run.
   std::vector<std::tuple<std::uint32_t, ops::AttributeId, Chain*>> entries;
   for (auto& [index, cell] : cells_) {
     for (auto& [attribute, chain] : cell->chains) {
@@ -774,6 +772,21 @@ void StreamFabricator::RebuildRouteTable() {
   std::sort(route_attrs_.begin(), route_attrs_.end());
   route_attrs_.erase(std::unique(route_attrs_.begin(), route_attrs_.end()),
                      route_attrs_.end());
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) {
+              return std::make_pair(std::get<0>(a), std::get<1>(a)) <
+                     std::make_pair(std::get<0>(b), std::get<1>(b));
+            });
+  // Live chains occupy buckets 1..n on both routers; bucket 0 is the
+  // unrouted sentinel. Appending a chain later is one bucket push
+  // (RouteNoteChainAdded), not a re-enumeration.
+  route_chains_.assign(1, nullptr);
+  route_chains_.reserve(entries.size() + 1);
+  for (const auto& entry : entries) {
+    Chain* chain = std::get<2>(entry);
+    chain->route_bucket = static_cast<std::uint32_t>(route_chains_.size());
+    route_chains_.push_back(chain);
+  }
   const std::uint64_t rows = static_cast<std::uint64_t>(grid_.NumCells()) + 1;
   const std::uint64_t cols = route_attrs_.size() + 1;
   route_lut_enabled_ = !entries.empty() &&
@@ -782,27 +795,16 @@ void StreamFabricator::RebuildRouteTable() {
   if (!route_lut_enabled_) {
     return;
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              return std::make_pair(std::get<0>(a), std::get<1>(a)) <
-                     std::make_pair(std::get<0>(b), std::get<1>(b));
-            });
-  // Every slot starts as bucket 0, the unrouted sentinel; the sentinel
-  // row (invalid cell) and column (unknown attribute) stay that way, so
-  // the router resolves every row with one unconditional load. Live
-  // chains occupy buckets 1..n — appending a chain later is one slot
-  // write (RouteNoteChainAdded), not a table sweep.
+  // Every slot starts as bucket 0; the sentinel row (invalid cell) and
+  // column (unknown attribute) stay that way, so the router resolves every
+  // row with one unconditional load.
   route_lut_.assign(rows * cols, 0u);
-  route_chains_.assign(1, nullptr);
-  route_chains_.reserve(entries.size() + 1);
   for (const auto& [flat, attribute, chain] : entries) {
     const auto slot = static_cast<std::uint32_t>(
         std::lower_bound(route_attrs_.begin(), route_attrs_.end(),
                          attribute) -
         route_attrs_.begin());
-    chain->route_bucket = static_cast<std::uint32_t>(route_chains_.size());
     route_lut_[flat * cols + slot] = chain->route_bucket;
-    route_chains_.push_back(chain);
   }
 }
 
@@ -837,7 +839,7 @@ void StreamFabricator::RouteNoteChainAdded(std::uint32_t flat,
 
 void StreamFabricator::RouteNoteChainRemoved(Chain* chain,
                                              ops::AttributeId attribute) {
-  if (route_dirty_ || !route_lut_enabled_) {
+  if (route_dirty_) {
     return;  // nothing live to patch
   }
   const auto slot_it = std::lower_bound(route_attrs_.begin(),
@@ -846,15 +848,17 @@ void StreamFabricator::RouteNoteChainRemoved(Chain* chain,
   if (slot_it == route_attrs_.end() || *slot_it != attribute ||
       bucket == 0 || bucket >= route_chains_.size() ||
       route_chains_[bucket] != chain) {
-    // Inconsistent incremental state (e.g. a chain created while the
-    // fallback router was active); resynchronize with a full rebuild.
+    // Inconsistent incremental state; resynchronize with a full rebuild.
     route_dirty_ = true;
     return;
   }
-  const auto slot = static_cast<std::uint32_t>(slot_it - route_attrs_.begin());
-  const std::uint32_t cols =
-      static_cast<std::uint32_t>(route_attrs_.size()) + 1;
-  route_lut_[chain->flat_cell * cols + slot] = 0;
+  if (route_lut_enabled_) {
+    const auto slot =
+        static_cast<std::uint32_t>(slot_it - route_attrs_.begin());
+    const std::uint32_t cols =
+        static_cast<std::uint32_t>(route_attrs_.size()) + 1;
+    route_lut_[chain->flat_cell * cols + slot] = 0;
+  }
   route_chains_[bucket] = nullptr;
   chain->route_bucket = 0;
   ++route_holes_;
@@ -866,46 +870,43 @@ void StreamFabricator::RouteNoteChainRemoved(Chain* chain,
   }
 }
 
-void StreamFabricator::RouteBatchFallback(ops::TupleBatch& batch) {
-  // Per-row map routing; matched rows column-copy (56 flat bytes) into
-  // the owning chain's recycled inbox in first-touch order.
+void StreamFabricator::RouteBatchFallback(const ops::TupleBatch& batch) {
+  // Per-row map routing: each row's bucket is its chain's bucket.
   const auto n = static_cast<std::uint32_t>(batch.size());
   for (std::uint32_t i = 0; i < n; ++i) {
     const geom::SpaceTimePoint& p = batch.point_at(i);
-    Chain* chain = RouteTarget(p.x, p.y, batch.attribute_at(i));
-    if (chain == nullptr) {
-      continue;
-    }
-    if (chain->inbox.empty()) {
-      batch_touched_.push_back(chain);
-    }
-    chain->inbox.AppendRow(batch, i);
+    const Chain* chain = RouteTarget(p.x, p.y, batch.attribute_at(i));
+    row_buckets_[i] = chain == nullptr ? 0u : chain->route_bucket;
   }
 }
 
-void StreamFabricator::RouteBatch(ops::TupleBatch& batch) {
+Status StreamFabricator::RouteBatch(ops::TupleBatch& batch) {
   // Single-pass histogram routing over the point/attribute columns:
   // (1) resolve every row's flat cell (branch-free column sweep), (2)
   // resolve every row's bucket with one load from the dense
   // (cell, attribute) table, (3) count -> prefix-sum -> scatter groups
-  // the row indices by bucket, and (4) each touched chain receives its
-  // whole group as one column-wise AppendRows splice. No per-row hashmap
-  // lookup, no per-row dispatch branch. Falls back to per-row map
-  // routing only when the dense table would be oversized.
+  // the row indices by bucket, and (4) each touched chain's F receives
+  // the step batch itself with its group adopted as the selection — no
+  // routed row is copied here. No per-row hashmap lookup, no per-row
+  // dispatch branch. Only step (2) falls back to per-row map lookups,
+  // when the dense table would be oversized.
   batch.Materialize();
   if (route_dirty_) {
     RebuildRouteTable();
   }
   const auto n = static_cast<std::uint32_t>(batch.size());
+  if (n == 0 || route_chains_.size() <= 1) {
+    tuples_unrouted_ += n;
+    return Status::OK();
+  }
+  row_buckets_.resize(n);
   if (!route_lut_enabled_) {
-    if (!cells_.empty() && n > 0) {
-      // Expected only for oversized grid x attribute tables; worth a
-      // (rate-limited) heads-up because per-row routing is much slower.
-      CRAQR_LOG_EVERY_N(WARNING, 4096)
-          << "histogram route LUT disabled; using per-row fallback routing";
-    }
+    // Expected only for oversized grid x attribute tables; worth a
+    // (rate-limited) heads-up because per-row routing is much slower.
+    CRAQR_LOG_EVERY_N(WARNING, 4096)
+        << "histogram route LUT disabled; using per-row fallback routing";
     RouteBatchFallback(batch);
-  } else if (n > 0) {
+  } else {
     const Span<const geom::SpaceTimePoint> points = batch.Points();
     const Span<const ops::AttributeId> attrs = batch.Attributes();
     row_cells_.resize(n);
@@ -913,9 +914,7 @@ void StreamFabricator::RouteBatch(ops::TupleBatch& batch) {
                         /*invalid_value=*/grid_.NumCells());
     const auto nslots = static_cast<std::uint32_t>(route_attrs_.size());
     const std::uint32_t cols = nslots + 1;
-    const auto nbuckets = static_cast<std::uint32_t>(route_chains_.size());
     const ops::AttributeId* slot_attrs = route_attrs_.data();
-    row_buckets_.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       const ops::AttributeId attribute = attrs[i];
       // Branch-free slot scan over the handful of live attributes;
@@ -926,44 +925,36 @@ void StreamFabricator::RouteBatch(ops::TupleBatch& batch) {
       }
       row_buckets_[i] = route_lut_[row_cells_[i] * cols + slot];
     }
-    bucket_counts_.assign(nbuckets, 0);
-    grouped_rows_.resize(n);
-    simd::HistogramGroup({row_buckets_.data(), n},
-                         {bucket_counts_.data(), nbuckets},
-                         grouped_rows_.data());
-    // Bucket 0 groups the unrouted rows (sentinel slots and the cleared
-    // slots of evicted chains); live chains follow in buckets 1..n.
-    const std::uint32_t unrouted = bucket_counts_[0];
-    std::uint32_t begin = unrouted;
-    for (std::uint32_t b = 1; b < nbuckets; ++b) {
-      const std::uint32_t end = bucket_counts_[b];
-      Chain* chain = route_chains_[b];
-      if (end != begin && chain != nullptr) {
-        chain->inbox.AppendRows(
-            batch, {grouped_rows_.data() + begin, end - begin});
-        batch_touched_.push_back(chain);
-      }
-      begin = end;
-    }
-    tuples_routed_ += n - unrouted;
-    tuples_unrouted_ += unrouted;
   }
-  batch.Clear();
+  const auto nbuckets = static_cast<std::uint32_t>(route_chains_.size());
+  bucket_counts_.assign(nbuckets, 0);
+  grouped_rows_.resize(n);
+  simd::HistogramGroup({row_buckets_.data(), n},
+                       {bucket_counts_.data(), nbuckets},
+                       grouped_rows_.data());
+  // Bucket 0 groups the unrouted rows (sentinel slots and the cleared
+  // slots of evicted chains); live chains follow in buckets 1..n. Each
+  // group is ascending (the scatter is stable), as a selection must be.
+  const std::uint32_t unrouted = bucket_counts_[0];
+  tuples_routed_ += n - unrouted;
+  tuples_unrouted_ += unrouted;
+  std::uint32_t begin = unrouted;
+  for (std::uint32_t b = 1; b < nbuckets; ++b) {
+    const std::uint32_t end = bucket_counts_[b];
+    if (end != begin) {
+      route_selection_.assign(grouped_rows_.data() + begin,
+                              grouped_rows_.data() + end);
+      batch.AdoptSelection(&route_selection_);
+      CRAQR_RETURN_NOT_OK(route_chains_[b]->flatten->PushBatch(batch));
+    }
+    begin = end;
+  }
+  return Status::OK();
 }
 
 Status StreamFabricator::ProcessBatch(ops::TupleBatch& batch) {
-  RouteBatch(batch);
-  Status status = Status::OK();
-  for (Chain* chain : batch_touched_) {
-    if (status.ok()) {
-      status = chain->flatten->PushBatch(chain->inbox);
-    }
-    // Drained even on error so no tuple leaks into the next batch.
-    chain->inbox.Clear();
-  }
-  // Cleared before FlushAll: a violation callback replayed there may
-  // re-enter with topology surgery that deletes chains.
-  batch_touched_.clear();
+  const Status status = RouteBatch(batch);
+  batch.Clear();
   CRAQR_RETURN_NOT_OK(status);
   return FlushAll();
 }
@@ -1137,10 +1128,6 @@ void StreamFabricator::ReinternStrings(ops::ValuePool& pool) {
     for (const auto& op : cell->pipeline.operators()) {
       op->ReinternStrings(pool);
     }
-    for (auto& [attribute, chain] : cell->chains) {
-      (void)attribute;
-      chain.inbox.ReinternStrings(pool);
-    }
   }
   for (auto& [id, qs] : queries_) {
     (void)id;
@@ -1151,33 +1138,18 @@ void StreamFabricator::ReinternStrings(ops::ValuePool& pool) {
 }
 
 void StreamFabricator::TrimMemory() {
-  for (auto& [index, cell] : cells_) {
-    (void)index;
-    for (auto& [attribute, chain] : cell->chains) {
-      (void)attribute;
-      // Inboxes are drained between batches; drop their recycled slack.
-      chain.inbox.ShrinkToFit();
-    }
-  }
   row_cells_.shrink_to_fit();
   row_buckets_.shrink_to_fit();
   bucket_counts_.shrink_to_fit();
   grouped_rows_.shrink_to_fit();
+  route_selection_.shrink_to_fit();
 }
 
 std::size_t StreamFabricator::BatchMemoryBytes() const {
-  std::size_t bytes = 0;
-  for (const auto& [index, cell] : cells_) {
-    (void)index;
-    for (const auto& [attribute, chain] : cell->chains) {
-      (void)attribute;
-      bytes += chain.inbox.ApproxBytes();
-    }
-  }
-  bytes += (row_cells_.capacity() + row_buckets_.capacity() +
-            bucket_counts_.capacity() + grouped_rows_.capacity()) *
-           sizeof(std::uint32_t);
-  return bytes;
+  return (row_cells_.capacity() + row_buckets_.capacity() +
+          bucket_counts_.capacity() + grouped_rows_.capacity() +
+          route_selection_.capacity()) *
+         sizeof(std::uint32_t);
 }
 
 namespace {

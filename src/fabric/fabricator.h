@@ -47,11 +47,12 @@ class Counter;  // obs/metrics.h — sharing telemetry counters
 ///    boundary, so delivery order is identical on every execution path and
 ///    shard count) and a rate monitor into a sink.
 ///
-/// Execution is batch-native: `ProcessBatch` routes the incoming handler
-/// batch into one recycled `ops::TupleBatch` inbox per touched (cell,
-/// attribute) chain and drives each chain through `Operator::PushBatch`,
-/// so the hot path pays one virtual call per operator per batch instead
-/// of per tuple. `ProcessTuple` remains as the tuple-at-a-time reference
+/// Execution is batch-native: `ProcessBatch` groups the incoming handler
+/// batch's row indices by (cell, attribute) chain and drives each touched
+/// chain through `Operator::PushBatch` with the handler batch itself,
+/// its group adopted as the selection — routing copies no tuple, and the
+/// hot path pays one virtual call per operator per batch instead of per
+/// tuple. `ProcessTuple` remains as the tuple-at-a-time reference
 /// path; both deliver identical per-query streams (asserted in
 /// tests/ops_batch_test.cc). F-operator violation reports are buffered
 /// while a batch is in flight and replayed at the batch boundary sorted
@@ -265,13 +266,13 @@ class StreamFabricator {
 
   /// \brief Batch-native map phase: a single-pass histogram partition
   /// (per-row flat cell + dense-table bucket resolution, then
-  /// count -> prefix-sum -> scatter) groups the batch by (cell,
-  /// attribute) chain, column-copies each group into that chain's
-  /// recycled TupleBatch inbox in one splice, drives each chain through
-  /// PushBatch, then flushes every topology (batch boundary) and replays
-  /// buffered violation reports in completion-time order. No per-row
-  /// hashmap lookup, no per-row dispatch branch. The batch is consumed
-  /// (tuples move into the topologies).
+  /// count -> prefix-sum -> scatter) groups the batch's row indices by
+  /// (cell, attribute) chain; each touched chain's F receives `batch`
+  /// with its group adopted as the selection (ascending, arrival order),
+  /// then every topology is flushed (batch boundary) and buffered
+  /// violation reports are replayed in completion-time order. No per-row
+  /// hashmap lookup, no per-row dispatch branch, no routed-row copy. The
+  /// batch is consumed (cleared on return; capacity kept).
   Status ProcessBatch(ops::TupleBatch& batch);
 
   /// Copying convenience overload of the batch-native ProcessBatch.
@@ -351,16 +352,16 @@ class StreamFabricator {
   /// \name Memory governance hooks (runtime memory governor)
   ///@{
   /// Re-interns every string payload buffered anywhere in the fabricator
-  /// (chain inboxes, F accumulators, reorder buffers, sink storage) into
+  /// (F accumulators, reorder buffers, sink storage) into
   /// `pool`'s current tier, so older pool generations hold no live handles
   /// and can be retired. Must be called at a batch boundary; values are
   /// untouched, only handles move, so delivered streams are unaffected.
   void ReinternStrings(ops::ValuePool& pool);
-  /// Releases recycled slack: shrinks drained chain inboxes and the
-  /// histogram-router scratch columns back to their live size.
+  /// Releases recycled slack: shrinks the histogram-router scratch
+  /// columns back to their live size.
   void TrimMemory();
-  /// Approximate bytes held by recycled batch storage and router scratch
-  /// (chain inboxes + scratch columns) — governor accounting input.
+  /// Approximate bytes held by the router's recycled scratch columns —
+  /// governor accounting input.
   std::size_t BatchMemoryBytes() const;
   ///@}
 
@@ -427,9 +428,6 @@ class StreamFabricator {
     /// live buckets start at 1 — bucket 0 is the unrouted sentinel).
     /// Maintained incrementally by RouteNoteChainAdded/Removed.
     std::uint32_t route_bucket = 0;
-    /// Recycled routing inbox ProcessBatch fills for this chain; always
-    /// drained before ProcessBatch returns.
-    ops::TupleBatch inbox;
   };
 
   /// Materialized cell topology (one hashmap value).
@@ -488,17 +486,18 @@ class StreamFabricator {
   void BindChainReportCallback(Chain* chain, ops::AttributeId attribute,
                                const geom::CellIndex& index);
   /// Map-phase lookup: the chain owning a tuple at (x, y) with the given
-  /// attribute, or nullptr with the routed/unrouted counters updated.
-  /// Column-shaped so the batch path reads only the point and attribute
-  /// columns.
+  /// attribute, or nullptr. Column-shaped so the batch path reads only
+  /// the point and attribute columns.
   Chain* RouteTarget(double x, double y, ops::AttributeId attribute);
-  /// \brief Rebuilds the dense routing table the histogram router reads:
-  /// one bucket id per (flat cell, attribute slot), with one extra
-  /// sentinel row/column so invalid cells and unknown attributes resolve
-  /// to the unrouted bucket through the same unconditional load. Called
-  /// lazily from ProcessBatch after topology surgery (route_dirty_);
-  /// disables the table (falling back to per-row map routing) when the
-  /// grid x attribute product would make it unreasonably large.
+  /// \brief Re-enumerates the chain buckets both routers group by and
+  /// rebuilds the dense routing table the histogram router reads: one
+  /// bucket id per (flat cell, attribute slot), with one extra sentinel
+  /// row/column so invalid cells and unknown attributes resolve to the
+  /// unrouted bucket through the same unconditional load. Called lazily
+  /// from ProcessBatch after topology surgery (route_dirty_); disables
+  /// the table (falling back to per-row map lookups) when the grid x
+  /// attribute product would make it unreasonably large or there are
+  /// more live attributes than the slot scan handles.
   void RebuildRouteTable();
   /// \brief Incremental LUT maintenance: a freshly created chain gets the
   /// next bucket id and one LUT slot write instead of marking the whole
@@ -512,13 +511,14 @@ class StreamFabricator {
   /// a bucket hole. Schedules a compacting full rebuild once holes
   /// outnumber live buckets.
   void RouteNoteChainRemoved(Chain* chain, ops::AttributeId attribute);
-  /// Per-row map-lookup routing pass — the pre-histogram reference
-  /// implementation, kept as the fallback for oversized tables.
-  void RouteBatchFallback(ops::TupleBatch& batch);
-  /// The routing half of ProcessBatch: materialize, rebuild the LUT if
-  /// dirty, group the batch into per-chain inboxes (batch consumed),
-  /// update routed/unrouted counters.
-  void RouteBatch(ops::TupleBatch& batch);
+  /// Per-row map-lookup bucket resolution (fills row_buckets_) — the
+  /// fallback for disabled tables; grouping and dispatch are shared.
+  void RouteBatchFallback(const ops::TupleBatch& batch);
+  /// The map phase of ProcessBatch: materialize, rebuild the buckets if
+  /// dirty, group the rows by chain bucket, update routed/unrouted
+  /// counters, and push each touched chain's group into its F as a
+  /// selection over `batch` (which is left with an arbitrary selection).
+  Status RouteBatch(ops::TupleBatch& batch);
   /// Replays buffered F reports to the violation callback, sorted by
   /// (completed_at, attribute, cell) — see the class comment.
   void ReplayPendingViolations();
@@ -551,9 +551,6 @@ class StreamFabricator {
   std::unordered_map<query::QueryId, QueryState> queries_;
   query::QueryId next_query_id_ = 1;
   ViolationCallback violation_callback_;
-  /// Chains whose inbox the in-flight ProcessBatch touched, in first-touch
-  /// order; empty between calls.
-  std::vector<Chain*> batch_touched_;
   /// Guards pending_violations_, which F report callbacks append to.
   /// Uncontended: one thread drives a fabricator at a time.
   std::mutex violations_mu_;
@@ -578,7 +575,7 @@ class StreamFabricator {
   /// Set by topology surgery; the next ProcessBatch rebuilds the table.
   bool route_dirty_ = true;
   /// False when the dense table would be oversized; ProcessBatch then
-  /// routes through the per-row fallback.
+  /// resolves buckets through the per-row fallback.
   bool route_lut_enabled_ = false;
   /// Distinct attributes with at least one live chain, sorted (the
   /// table's column space; per-row attribute -> slot is a branch-free
@@ -590,10 +587,11 @@ class StreamFabricator {
   /// append/evict patches one slot instead of sweeping the table
   /// (RouteNoteChainAdded/Removed).
   std::vector<std::uint32_t> route_lut_;
-  /// Bucket id -> chain; index 0 is the unrouted sentinel (nullptr), and
-  /// evicted chains leave nullptr holes until the next compacting rebuild.
-  /// Rebuilds enumerate in deterministic (flat cell, attribute) order;
-  /// incremental appends extend in creation order.
+  /// Bucket id -> chain, for both routers; index 0 is the unrouted
+  /// sentinel (nullptr), and evicted chains leave nullptr holes until the
+  /// next compacting rebuild. Rebuilds enumerate in deterministic (flat
+  /// cell, attribute) order; incremental appends extend in creation
+  /// order. Touched chains are driven in bucket order.
   std::vector<Chain*> route_chains_;
   /// nullptr holes in route_chains_; a rebuild is scheduled when holes
   /// outnumber live buckets.
@@ -602,11 +600,14 @@ class StreamFabricator {
   std::uint64_t route_rebuilds_ = 0;
   std::uint64_t route_patches_ = 0;
   /// Recycled per-batch scratch columns: per-row flat cell, per-row
-  /// bucket, per-bucket end offsets, bucket-grouped row indices.
+  /// bucket, per-bucket end offsets, bucket-grouped row indices, and the
+  /// one group the step batch adopts as its selection next (swapped with
+  /// the batch's previous selection).
   std::vector<std::uint32_t> row_cells_;
   std::vector<std::uint32_t> row_buckets_;
   std::vector<std::uint32_t> bucket_counts_;
   std::vector<std::uint32_t> grouped_rows_;
+  std::vector<std::uint32_t> route_selection_;
   ///@}
 };
 

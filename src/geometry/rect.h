@@ -67,17 +67,11 @@ class Rect {
   /// `out[i] = Contains(points[i].x, points[i].y)` as a 0/1 byte. The
   /// four bounds compares combine with non-short-circuiting `&`, so the
   /// loop has no data-dependent branches and auto-vectorizes — this is
-  /// the Partition/Union batch kernel. Edge semantics are identical to
+  /// Partition's batch kernel. Edge semantics are identical to
   /// `Contains` (half-open; asserted in tests/ops_vectorized_test.cc).
   /// `out` must hold `points.size()` bytes.
   void ContainsMask(Span<const SpaceTimePoint> points,
                     std::uint8_t* out) const;
-
-  /// \brief Accumulating variant: ORs the containment byte into `out[i]`
-  /// instead of storing it. Union's membership sweep folds its input
-  /// regions into one "inside any region" mask with repeated calls.
-  void ContainsMaskOr(Span<const SpaceTimePoint> points,
-                      std::uint8_t* out) const;
 
   /// True when `other` is fully inside this rectangle (closed comparison on
   /// the max edges so a rectangle contains itself).

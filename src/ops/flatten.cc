@@ -377,7 +377,16 @@ Status FlattenOperator::RestoreState(StateReader& r) {
   return ReadRunningStats(r, &violation_history_);
 }
 
-Status FlattenOperator::PushOnlineBatch(TupleBatch& batch) {
+Status FlattenOperator::PushOnlineBatch(TupleBatch& input) {
+  // A selected input may be a small group over a much larger batch (the
+  // fabricator routes each chain its rows as a selection over the whole
+  // step batch). Downstream sweeps such as Partition's containment mask
+  // run over raw rows, so compact the group into the (otherwise unused)
+  // estimation buffer first: everything below stays O(group).
+  TupleBatch& batch = input.has_selection() ? buffer_ : input;
+  if (input.has_selection()) {
+    buffer_.AppendActiveFrom(input);
+  }
   // One estimator/RNG sweep in arrival order; dropped tuples are
   // deselected (or moved to the discard side batch), survivors stay put.
   Status first = Status::OK();
@@ -394,15 +403,12 @@ Status FlattenOperator::PushOnlineBatch(TupleBatch& batch) {
         return *keep;
       },
       discarded_ != nullptr ? &discard_scratch_ : nullptr);
-  if (!first.ok()) {
-    discard_scratch_.Clear();
-    return first;
-  }
-  Status status = Emit(batch);
+  Status status = first.ok() ? Emit(batch) : first;
   if (status.ok() && discarded_ != nullptr && !discard_scratch_.empty()) {
     status = discarded_->PushBatch(discard_scratch_);
   }
   discard_scratch_.Clear();
+  buffer_.Clear();
   return status;
 }
 

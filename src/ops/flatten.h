@@ -213,10 +213,12 @@ class FlattenOperator final : public Operator {
 
   FlattenConfig config_;
   Rng rng_;
-  /// Estimation buffer; always plain (built by appends), so the MLE fit
-  /// reads its point column as a zero-copy span. After a firing's retain
-  /// sweep it IS the retained batch (selection active) and leaves through
-  /// Emit without any moves.
+  /// Estimation buffer (kBatch); always plain (built by appends), so the
+  /// MLE fit reads its point column as a zero-copy span. After a firing's
+  /// retain sweep it IS the retained batch (selection active) and leaves
+  /// through Emit without any moves. kOnline uses it only inside one
+  /// PushBatch, as the compacted copy of a selected input; it is empty
+  /// between pushes.
   TupleBatch buffer_;
   /// Recycled per-firing scratch: discarded tuples (when a side output is
   /// connected) and the per-tuple rate column of the estimation batch.

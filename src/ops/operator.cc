@@ -77,6 +77,25 @@ const char* OperatorKindLabel(OperatorKind kind) {
   return "?";
 }
 
+bool BuffersBetweenPushes(OperatorKind kind) {
+  switch (kind) {
+    case OperatorKind::kFlatten:
+    case OperatorKind::kReorder:
+      return true;
+    case OperatorKind::kThin:
+    case OperatorKind::kPartition:
+    case OperatorKind::kUnion:
+    case OperatorKind::kSuperpose:
+    case OperatorKind::kFilter:
+    case OperatorKind::kMap:
+    case OperatorKind::kRateMonitor:
+    case OperatorKind::kSink:
+    case OperatorKind::kPassThrough:
+      return false;
+  }
+  return false;
+}
+
 std::size_t Operator::AddOutput(Operator* output) {
   outputs_.push_back(output);
   return outputs_.size() - 1;

@@ -54,6 +54,12 @@ inline constexpr std::size_t kNumOperatorKinds =
 /// Short block label for an operator kind ("F", "T", ...).
 const char* OperatorKindLabel(OperatorKind kind);
 
+/// \brief True for the kinds that hold tuples between pushes and release
+/// them in `Flush` — F (a partial estimation batch) and Ord (the step's
+/// deliveries). Every other kind forwards within the push, so
+/// Pipeline::FlushAll visits only these.
+bool BuffersBetweenPushes(OperatorKind kind);
+
 /// \brief Throughput counters every operator maintains.
 struct OperatorStats {
   std::uint64_t tuples_in = 0;
@@ -111,6 +117,8 @@ class Operator {
   /// \brief Signals a batch boundary (request/response handler batches,
   /// paper Section V "Stream Fabrication"). Buffering operators release
   /// retained tuples here; the default implementation does nothing.
+  /// Pipeline::FlushAll calls it only on kinds for which
+  /// BuffersBetweenPushes holds, so an override needs such a kind.
   virtual Status Flush() { return Status::OK(); }
 
   /// \brief Re-interns every string payload the operator retains across

@@ -1,5 +1,6 @@
 #include "ops/pipeline.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -11,6 +12,11 @@ namespace ops {
 bool Pipeline::Remove(Operator* op) {
   for (auto it = operators_.begin(); it != operators_.end(); ++it) {
     if (it->get() == op) {
+      const auto buffering =
+          std::find(buffering_.begin(), buffering_.end(), op);
+      if (buffering != buffering_.end()) {
+        buffering_.erase(buffering);
+      }
       operators_.erase(it);
       return true;
     }
@@ -19,7 +25,7 @@ bool Pipeline::Remove(Operator* op) {
 }
 
 Status Pipeline::FlushAll() {
-  for (const auto& op : operators_) {
+  for (Operator* op : buffering_) {
     CRAQR_RETURN_NOT_OK(op->Flush());
   }
   return Status::OK();

@@ -13,7 +13,10 @@
 /// The fabricator builds per-grid-cell execution topologies out of PMAT
 /// operators (paper Section V). A Pipeline owns the operators, preserves
 /// insertion order (upstream-first, the order builders naturally use), and
-/// offers whole-topology flush and statistics.
+/// offers whole-topology flush and statistics. Flushing visits only the
+/// buffering operators (BuffersBetweenPushes), kept in a side list in the
+/// same relative order, so a step boundary costs one call per F / Ord
+/// rather than one per operator.
 
 namespace craqr {
 namespace ops {
@@ -31,6 +34,9 @@ class Pipeline {
   template <typename T>
   T* Add(std::unique_ptr<T> op) {
     T* raw = op.get();
+    if (BuffersBetweenPushes(raw->kind())) {
+      buffering_.push_back(raw);
+    }
     operators_.push_back(std::move(op));
     return raw;
   }
@@ -44,7 +50,8 @@ class Pipeline {
   /// edges pointing at it; returns true when the operator was owned here.
   bool Remove(Operator* op);
 
-  /// Flushes every operator in insertion (upstream-first) order.
+  /// Flushes every buffering operator (F, Ord) in insertion
+  /// (upstream-first) order; no other kind holds tuples between pushes.
   Status FlushAll();
 
   /// All owned operators in insertion order.
@@ -65,6 +72,8 @@ class Pipeline {
 
  private:
   std::vector<std::unique_ptr<Operator>> operators_;
+  /// The owned operators BuffersBetweenPushes selects, in insertion order.
+  std::vector<Operator*> buffering_;
 };
 
 }  // namespace ops

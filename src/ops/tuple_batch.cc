@@ -20,30 +20,39 @@ void TupleBatch::AppendActiveFrom(const TupleBatch& other) {
                        other.sensor_ids_.end());
     return;
   }
-  Reserve(raw_size() + other.selection_.size());
-  for (const std::uint32_t idx : other.selection_) {
-    AppendRow(other, idx);
-  }
+  GatherRows(other, other.selection_.data(), other.selection_.size());
 }
 
 void TupleBatch::AppendRows(const TupleBatch& src,
                             Span<const std::uint32_t> raws) {
   assert(!has_selection_ && "AppendRows on a batch with an active selection");
-  Reserve(raw_size() + raws.size());
-  for (const std::uint32_t raw : raws) {
-    ids_.push_back(src.ids_[raw]);
+  GatherRows(src, raws.data(), raws.size());
+}
+
+void TupleBatch::GatherRows(const TupleBatch& src, const std::uint32_t* raws,
+                            std::size_t n) {
+  // One resize per column, then five indexed gather loops: no per-row
+  // capacity check, and each loop streams one destination column.
+  const std::size_t base = ids_.size();
+  ids_.resize(base + n);
+  attributes_.resize(base + n);
+  points_.resize(base + n);
+  values_.resize(base + n);
+  sensor_ids_.resize(base + n);
+  for (std::size_t j = 0; j < n; ++j) {
+    ids_[base + j] = src.ids_[raws[j]];
   }
-  for (const std::uint32_t raw : raws) {
-    attributes_.push_back(src.attributes_[raw]);
+  for (std::size_t j = 0; j < n; ++j) {
+    attributes_[base + j] = src.attributes_[raws[j]];
   }
-  for (const std::uint32_t raw : raws) {
-    points_.push_back(src.points_[raw]);
+  for (std::size_t j = 0; j < n; ++j) {
+    points_[base + j] = src.points_[raws[j]];
   }
-  for (const std::uint32_t raw : raws) {
-    values_.push_back(src.values_[raw]);
+  for (std::size_t j = 0; j < n; ++j) {
+    values_[base + j] = src.values_[raws[j]];
   }
-  for (const std::uint32_t raw : raws) {
-    sensor_ids_.push_back(src.sensor_ids_[raw]);
+  for (std::size_t j = 0; j < n; ++j) {
+    sensor_ids_[base + j] = src.sensor_ids_[raws[j]];
   }
 }
 

@@ -35,9 +35,16 @@
 ///    selected batch flows down a single-output edge untouched; only
 ///    operators that must materialise (Sink storage, broadcast copies)
 ///    compact;
+///  - **selection routing**: the fabricator's map phase never copies a
+///    routed row. It groups the step batch's row indices by (cell,
+///    attribute) chain and hands each chain's F operator the step batch
+///    itself with that group adopted as its selection (`AdoptSelection`);
+///    F's accumulator then gathers the group once (`AppendActiveFrom`),
+///    which is the only copy a routed tuple pays before F emits;
 ///  - **move discipline**: copying is deleted; the only copy paths are the
-///    explicit `CopyFrom` / `AppendActiveFrom` used by multi-output
-///    broadcasts and the batched shard outbox.
+///    explicit `CopyFrom` / `AppendActiveFrom` / `AppendRows` used by
+///    operator accumulators, multi-output broadcasts, the shard router and
+///    the batched shard outbox.
 ///
 /// Active-tuple order inside a batch is arrival order and is semantically
 /// significant: operators draw their randomness per tuple in this order,
@@ -152,9 +159,9 @@ class TupleBatch {
     sensor_ids_.push_back(sensor_id);
   }
 
-  /// Appends raw row `raw` of `src` (column-wise, 56 flat bytes). The
-  /// routing primitive: fabricator inboxes and shard sub-batches are built
-  /// row by row from the incoming batch.
+  /// Appends raw row `raw` of `src` (column-wise, 56 flat bytes) — the
+  /// row-at-a-time copy (Flatten's firing-boundary appends, discard side
+  /// batches, the shard router's per-row fallback).
   void AppendRow(const TupleBatch& src, std::uint32_t raw) {
     assert(!has_selection_ && "AppendRow on a batch with an active selection");
     ids_.push_back(src.ids_[raw]);
@@ -164,16 +171,19 @@ class TupleBatch {
     sensor_ids_.push_back(src.sensor_ids_[raw]);
   }
 
-  /// Appends every *active* tuple of `other` (column-wise bulk copy when
-  /// `other` is plain, gather otherwise). The batched-outbox primitive.
+  /// Appends every *active* tuple of `other`: one contiguous range insert
+  /// per column when `other` is plain, otherwise the column-by-column
+  /// gather of AppendRows through `other`'s selection. The
+  /// batched-outbox and accumulator primitive (Flatten and Ord buffers
+  /// read a routed selection over the step batch through it).
   void AppendActiveFrom(const TupleBatch& other);
 
   /// \brief Appends the raw rows `raws` of `src`, column by column — the
-  /// grouped-copy half of the histogram routers: after the
+  /// grouped-copy half of the shard router: after the
   /// count -> prefix-sum -> scatter pass groups a batch's rows by
-  /// destination, each destination inbox receives its whole group with
-  /// five tight gather loops instead of `raws.size()` interleaved
-  /// `AppendRow` calls.
+  /// destination shard, each sub-batch receives its whole group with one
+  /// resize and five tight gather loops instead of `raws.size()`
+  /// interleaved `AppendRow` calls.
   void AppendRows(const TupleBatch& src, Span<const std::uint32_t> raws);
 
   /// Replaces this batch's contents with a copy of `other`'s *active*
@@ -250,9 +260,10 @@ class TupleBatch {
 
   /// \brief Replaces the selection by swapping in `indices` (ascending
   /// raw-storage indices; the previous selection lands in `indices`).
-  /// This is how Partition shares one batch's storage across output
-  /// ports: route once, then adopt each port's index list in turn — no
-  /// tuple is moved.
+  /// This is how one batch's storage is shared across several consumers:
+  /// Partition adopts each output port's index list in turn, and the
+  /// fabricator adopts each routed chain's row group before pushing the
+  /// step batch into that chain's F — no tuple is moved.
   void AdoptSelection(std::vector<std::uint32_t>* indices) {
     selection_.swap(*indices);
     has_selection_ = true;
@@ -378,20 +389,6 @@ class TupleBatch {
     out->assign(scratch.data(), scratch.data() + count);
   }
 
-  /// \brief Number of active tuples whose raw-indexed mask byte is set
-  /// (branch-free reduction) — Union's out-of-region accounting.
-  std::size_t CountActiveWhere(Span<const std::uint8_t> raw_mask) const {
-    assert(raw_mask.size() == raw_size());
-    if (!has_selection_) {
-      return simd::MaskCount(raw_mask);
-    }
-    std::size_t count = 0;
-    for (const std::uint32_t idx : selection_) {
-      count += (raw_mask[idx] != 0);
-    }
-    return count;
-  }
-
   /// Row-materializing Retain for user predicates over whole tuples.
   template <typename Fn>
   void Retain(Fn&& fn, TupleBatch* dropped = nullptr) {
@@ -504,6 +501,11 @@ class TupleBatch {
   ///@}
 
  private:
+  /// Appends raw rows `raws[0..n)` of `src`: resizes every column once,
+  /// then gathers column by column (AppendRows / AppendActiveFrom).
+  void GatherRows(const TupleBatch& src, const std::uint32_t* raws,
+                  std::size_t n);
+
   template <typename T>
   static void GatherColumn(const std::vector<T>& src,
                            const std::vector<std::uint32_t>& order,

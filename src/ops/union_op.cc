@@ -45,40 +45,84 @@ Result<std::unique_ptr<UnionOperator>> UnionOperator::Make(
         << bbox.Area();
     return Status::FailedPrecondition(msg.str());
   }
-  return std::unique_ptr<UnionOperator>(
+  auto op = std::unique_ptr<UnionOperator>(
       new UnionOperator(std::move(name), std::move(input_regions), bbox));
+  op->BuildCoverage();
+  return op;
+}
+
+void UnionOperator::BuildCoverage() {
+  // The regions' own x and y edges cut the plane into elementary cells
+  // [xs[i-1], xs[i]) x [ys[j-1], ys[j]) (index 0 and the last index are
+  // the unbounded outside bands). Every region is an exact union of such
+  // cells, because its half-open bounds are among the edges, so one
+  // covered-cell table answers the OR of Rect::Contains bit for bit —
+  // including the one-ulp seams adjacent grid cells can leave.
+  xs_.clear();
+  ys_.clear();
+  xs_.reserve(2 * input_regions_.size());
+  ys_.reserve(2 * input_regions_.size());
+  for (const auto& region : input_regions_) {
+    xs_.push_back(region.x_min());
+    xs_.push_back(region.x_max());
+    ys_.push_back(region.y_min());
+    ys_.push_back(region.y_max());
+  }
+  for (std::vector<double>* edges : {&xs_, &ys_}) {
+    std::sort(edges->begin(), edges->end());
+    edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
+  }
+  const std::size_t cols = xs_.size() + 1;
+  covered_.assign(cols * (ys_.size() + 1), 0);
+  for (const auto& region : input_regions_) {
+    // Band index of a coordinate = number of edges <= it, so the region's
+    // x bands are (index of x_min, index of x_max], likewise for y.
+    const auto band = [](const std::vector<double>& edges, double v) {
+      return static_cast<std::size_t>(
+          std::upper_bound(edges.begin(), edges.end(), v) - edges.begin());
+    };
+    const std::size_t i0 = band(xs_, region.x_min());
+    const std::size_t i1 = band(xs_, region.x_max());
+    const std::size_t j0 = band(ys_, region.y_min());
+    const std::size_t j1 = band(ys_, region.y_max());
+    for (std::size_t j = j0; j < j1; ++j) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        covered_[j * cols + i] = 1;
+      }
+    }
+  }
+}
+
+bool UnionOperator::Covers(double x, double y) const {
+  // Branch-free band search over the handful of edges: counting the
+  // edges <= the coordinate gives its band (NaN counts none and lands in
+  // the outside band 0, as Rect::Contains rejects it).
+  std::size_t i = 0;
+  for (const double edge : xs_) {
+    i += static_cast<std::size_t>(edge <= x);
+  }
+  std::size_t j = 0;
+  for (const double edge : ys_) {
+    j += static_cast<std::size_t>(edge <= y);
+  }
+  return covered_[j * (xs_.size() + 1) + i] != 0;
 }
 
 Status UnionOperator::Push(const Tuple& tuple) {
   CountIn();
-  bool inside = false;
-  for (const auto& region : input_regions_) {
-    if (region.Contains(tuple.point.x, tuple.point.y)) {
-      inside = true;
-      break;
-    }
-  }
-  if (!inside) {
-    ++out_of_region_;
-  }
+  out_of_region_ += !Covers(tuple.point.x, tuple.point.y);
   return Emit(tuple);
 }
 
 Status UnionOperator::PushBatch(TupleBatch& batch) {
-  const std::size_t active = batch.size();
-  CountIn(active);
-  // Branch-free membership sweep: OR the per-region containment masks
-  // over the raw point column into one "inside any input region" mask,
-  // then count the active rows left outside — no per-row region loop, no
-  // early-exit branch. Husk rows are masked too but never counted.
-  const Span<const geom::SpaceTimePoint> points = batch.RawPoints();
-  const std::size_t raw_n = batch.raw_size();
-  inside_mask_.assign(raw_n, 0);
-  for (const auto& region : input_regions_) {
-    region.ContainsMaskOr(points, inside_mask_.data());
-  }
-  out_of_region_ +=
-      active - batch.CountActiveWhere({inside_mask_.data(), raw_n});
+  CountIn(batch.size());
+  // One coverage lookup per active row; husk rows are never visited.
+  std::uint64_t outside = 0;
+  batch.ForEachRaw([this, &batch, &outside](std::uint32_t raw) {
+    const geom::SpaceTimePoint& p = batch.point_at(raw);
+    outside += !Covers(p.x, p.y);
+  });
+  out_of_region_ += outside;
   return Emit(batch);
 }
 

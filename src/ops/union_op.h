@@ -39,8 +39,7 @@ class UnionOperator final : public Operator {
 
   Status Push(const Tuple& tuple) override;
 
-  /// Batch-native: branch-free membership sweep (ORed
-  /// Rect::ContainsMask passes over the raw point column) for the
+  /// Batch-native: one coverage-table lookup per active row for the
   /// out-of-region diagnostic, then the whole batch is forwarded in a
   /// single emit.
   Status PushBatch(TupleBatch& batch) override;
@@ -56,7 +55,8 @@ class UnionOperator final : public Operator {
   }
 
   /// Tuples that arrived outside every input region (still forwarded, but
-  /// counted as a topology diagnostic).
+  /// counted as a topology diagnostic). Exactly the rows for which no
+  /// input region's half-open Rect::Contains holds.
   std::uint64_t out_of_region() const { return out_of_region_; }
 
   /// \name Checkpoint support
@@ -80,11 +80,22 @@ class UnionOperator final : public Operator {
         input_regions_(std::move(input_regions)),
         output_region_(output_region) {}
 
+  /// Fills xs_, ys_ and covered_ from the input regions (at Make).
+  void BuildCoverage();
+  /// True when some input region contains (x, y) (half-open), by one
+  /// lookup in the coverage table.
+  bool Covers(double x, double y) const;
+
   std::vector<geom::Rect> input_regions_;
   geom::Rect output_region_;
   std::uint64_t out_of_region_ = 0;
-  /// Recycled "inside any input region" mask of the batch sweep.
-  std::vector<std::uint8_t> inside_mask_;
+  /// Distinct x / y edges of the input regions, ascending. They cut the
+  /// plane into (xs_.size() + 1) x (ys_.size() + 1) elementary bands.
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  /// Row-major (y band, x band) table: 1 where an input region covers
+  /// the elementary cell.
+  std::vector<std::uint8_t> covered_;
 };
 
 }  // namespace ops

@@ -809,9 +809,9 @@ Status ShardedFabricator::GovernMemoryLocked() {
   pool.RotateGeneration();
   // Evacuate every live string holder into fresh handles before the
   // retirement below invalidates the older rotating generations:
-  // shard-side operator buffers + chain inboxes (on the worker, which owns
-  // the fabricator), then the router-side merge stages, shed spools and
-  // crash replay logs.
+  // shard-side operator buffers (on the worker, which owns the
+  // fabricator), then the router-side merge stages, shed spools and crash
+  // replay logs.
   for (auto& shard : shards_) {
     CRAQR_RETURN_NOT_OK(
         shard->RunControl([&pool](fabric::StreamFabricator& f) {

@@ -320,6 +320,106 @@ TEST(FabricatorTest, Figure2ScenarioTopologyShape) {
   EXPECT_EQ(fabricator->NumMaterializedCells(), 8u);
 }
 
+// ---------------------------------------------------------------------------
+// Per-row fallback router: more live attributes than the LUT's slot scan
+
+/// What one run of the attribute workload delivered, per query slot.
+struct AttributeRun {
+  std::vector<std::vector<ops::Tuple>> delivered;
+  std::uint64_t route_rebuilds = 0;
+  std::uint64_t tuples_routed = 0;
+};
+
+/// 16 standing queries on attributes 0..15 (whole-grid U merges, single
+/// cells, partial carve-outs), one removed and one inserted mid-run, fed
+/// 12 steps of tuples over attributes 0..17 and positions beyond the
+/// grid. With `seventeenth`, a query on attribute 16 is live from the
+/// start: 17 live attributes exceed the LUT's slot scan, so every batch
+/// routes through the per-row fallback.
+void RunAttributeWorkload(ops::FlattenMode mode, bool seventeenth,
+                          AttributeRun* run) {
+  FabricConfig config;
+  config.flatten_mode = mode;
+  config.flatten_batch_size = 16;
+  auto fabricator = MakeFabricator(config);
+  if (seventeenth) {
+    EXPECT_TRUE(fabricator->InsertQuery(16, geom::Rect(0, 0, 3, 3), 1.0).ok());
+  }
+  const geom::Rect regions[4] = {geom::Rect(0, 0, 3, 3),
+                                 geom::Rect(1, 1, 2, 2),
+                                 geom::Rect(0.5, 0.5, 2.5, 2.0),
+                                 geom::Rect(0, 0, 2, 3)};
+  std::vector<QueryStream> streams;
+  for (ops::AttributeId a = 0; a < 16; ++a) {
+    const auto stream =
+        fabricator->InsertQuery(a, regions[a % 4], 0.5 + 0.25 * (a % 3));
+    EXPECT_TRUE(stream.ok());
+    streams.push_back(*stream);
+  }
+  run->delivered.resize(streams.size() + 1);
+  Rng rng(404);
+  std::uint64_t id = 1;
+  for (int step = 0; step < 12; ++step) {
+    if (step == 4) {
+      // Churn: attribute 1 leaves its single cell for a three-cell strip.
+      run->delivered[1] = streams[1].sink->tuples();
+      ASSERT_TRUE(fabricator->RemoveQuery(streams[1].id).ok());
+      const auto moved = fabricator->InsertQuery(1, geom::Rect(0, 0, 1, 3), 1.0);
+      ASSERT_TRUE(moved.ok());
+      streams[1] = *moved;
+      streams.push_back(*moved);
+    }
+    std::vector<ops::Tuple> batch;
+    for (int i = 0; i < 720; ++i) {
+      ops::Tuple tuple = TupleAt(step + i / 720.0, rng.Uniform(-0.2, 3.2),
+                                 rng.Uniform(-0.2, 3.2),
+                                 static_cast<ops::AttributeId>(i % 18));
+      tuple.id = id++;
+      tuple.value = ops::PayloadRef::Double(rng.Uniform(0.0, 30.0));
+      batch.push_back(tuple);
+    }
+    ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
+  }
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    if (k != 1) {
+      run->delivered[k] = streams[k].sink->tuples();
+    }
+  }
+  run->route_rebuilds = fabricator->route_rebuilds();
+  run->tuples_routed = fabricator->tuples_routed();
+  EXPECT_TRUE(fabricator->ValidateInvariants().ok());
+}
+
+TEST(FabricatorTest, FallbackRouterDeliversTheLutStreams) {
+  for (const ops::FlattenMode mode :
+       {ops::FlattenMode::kBatch, ops::FlattenMode::kOnline}) {
+    SCOPED_TRACE(mode == ops::FlattenMode::kBatch ? "kBatch" : "kOnline");
+    AttributeRun lut;
+    AttributeRun fallback;
+    RunAttributeWorkload(mode, false, &lut);
+    RunAttributeWorkload(mode, true, &fallback);
+    // The fallback re-enumerates its buckets after every chain insertion
+    // (the LUT patches one slot instead), so it rebuilt at the churn.
+    EXPECT_GT(fallback.route_rebuilds, lut.route_rebuilds);
+    EXPECT_GT(fallback.tuples_routed, lut.tuples_routed);
+    ASSERT_EQ(fallback.delivered.size(), lut.delivered.size());
+    for (std::size_t k = 0; k < lut.delivered.size(); ++k) {
+      SCOPED_TRACE("query slot " + std::to_string(k));
+      const auto& want = lut.delivered[k];
+      const auto& got = fallback.delivered[k];
+      EXPECT_FALSE(want.empty());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << i;
+        EXPECT_EQ(got[i].attribute, want[i].attribute) << i;
+        EXPECT_EQ(got[i].point, want[i].point) << i;
+        EXPECT_TRUE(got[i].value == want[i].value) << i;
+        EXPECT_EQ(got[i].sensor_id, want[i].sensor_id) << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fabric
 }  // namespace craqr

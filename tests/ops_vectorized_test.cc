@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -250,15 +252,6 @@ TEST(VectorizedKernelTest, ContainsMaskMatchesContainsIncludingEdges) {
     EXPECT_EQ(mask[i] != 0, rect.Contains(points[i].x, points[i].y))
         << "x=" << points[i].x << " y=" << points[i].y;
   }
-  // The OR variant accumulates without clearing.
-  const geom::Rect other(0.0, 0.0, 1.0, 2.0);
-  std::vector<std::uint8_t> ored(points.size(), 0);
-  rect.ContainsMaskOr({points.data(), points.size()}, ored.data());
-  other.ContainsMaskOr({points.data(), points.size()}, ored.data());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(ored[i] != 0, rect.Contains(points[i].x, points[i].y) ||
-                                other.Contains(points[i].x, points[i].y));
-  }
 }
 
 TEST(VectorizedKernelTest, FillFlatCellsMatchesCellContaining) {
@@ -347,13 +340,12 @@ TEST(VectorizedKernelTest, TupleBatchMaskSelection) {
   EXPECT_EQ(selected[0].id, tuples[2].id);
   EXPECT_EQ(selected[1].id, tuples[6].id);
 
-  // GatherActiveWhere / CountActiveWhere agree with the selection.
+  // GatherActiveWhere agrees with the selection.
   std::vector<std::uint32_t> gathered;
   raw_sel.GatherActiveWhere({raw_mask, 10}, &gathered);
   ASSERT_EQ(gathered.size(), 2u);
   EXPECT_EQ(gathered[0], 2u);
   EXPECT_EQ(gathered[1], 6u);
-  EXPECT_EQ(raw_sel.CountActiveWhere({raw_mask, 10}), 2u);
 
   // RetainFromMask routes drops into the side batch, in order.
   ops::TupleBatch with_drops(tuples);
@@ -376,6 +368,203 @@ TEST(VectorizedKernelTest, AppendRowsCopiesGroupedColumns) {
   EXPECT_EQ(out[2].id, tuples[3].id);
   EXPECT_EQ(out[2].sensor_id, tuples[3].sensor_id);
   EXPECT_EQ(out[2].point, tuples[3].point);
+}
+
+/// Every column of `a` and `b` (active rows, in order), payload handles
+/// compared bitwise.
+void ExpectSameColumns(const ops::TupleBatch& a, const ops::TupleBatch& b) {
+  ASSERT_FALSE(a.has_selection());
+  ASSERT_FALSE(b.has_selection());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::uint32_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.Ids()[i], b.Ids()[i]) << i;
+    EXPECT_EQ(a.Attributes()[i], b.Attributes()[i]) << i;
+    EXPECT_EQ(a.Points()[i], b.Points()[i]) << i;
+    EXPECT_TRUE(a.Values()[i] == b.Values()[i]) << i;
+    EXPECT_EQ(a.SensorIds()[i], b.SensorIds()[i]) << i;
+  }
+}
+
+TEST(VectorizedKernelTest, ColumnGathersMatchRowByRowAppend) {
+  // Mixed payloads, strings included, so the value column carries pool
+  // handles; the source gets a non-contiguous ascending selection with
+  // husk rows between (and after) the survivors.
+  auto tuples = MakeWorkloadTuples(64);
+  const char* labels[] = {"sun", "fog", "hail"};
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    if (i % 4 == 1) {
+      tuples[i].value = ops::PayloadRef::String(labels[i % 3]);
+    } else if (i % 4 == 2) {
+      tuples[i].value = ops::PayloadRef::Bool(i % 8 == 2);
+    }
+  }
+  ops::TupleBatch src(tuples);
+  src.RetainRaw([](std::uint32_t raw) {
+    return raw % 3 == 0 || raw % 7 == 5 || raw == 1;
+  });
+  ASSERT_TRUE(src.has_selection());
+  ASSERT_LT(src.size(), src.raw_size());
+  std::vector<std::uint32_t> active;
+  src.ForEachRaw([&active](std::uint32_t raw) { active.push_back(raw); });
+  ASSERT_GT(active.size(), 2u);
+
+  // Both gathers append behind rows already present.
+  const ops::Tuple lead = MakeWorkloadTuples(1, 5).front();
+  ops::TupleBatch reference;
+  reference.Append(lead);
+  for (const std::uint32_t raw : active) {
+    reference.AppendRow(src, raw);
+  }
+  ops::TupleBatch gathered;
+  gathered.Append(lead);
+  gathered.AppendActiveFrom(src);
+  ExpectSameColumns(gathered, reference);
+
+  // AppendRows takes any raw list: husk rows and a descending tail too.
+  std::vector<std::uint32_t> raws = {2, 5, 6, 11, 40, 63, 9, 0};
+  ops::TupleBatch by_rows;
+  by_rows.Append(lead);
+  by_rows.AppendRows(src, {raws.data(), raws.size()});
+  ops::TupleBatch row_reference;
+  row_reference.Append(lead);
+  for (const std::uint32_t raw : raws) {
+    row_reference.AppendRow(src, raw);
+  }
+  ExpectSameColumns(by_rows, row_reference);
+}
+
+// ---------------------------------------------------------------------------
+// Union membership: the coverage table equals the OR of Rect::Contains
+
+/// Feeds every point through fresh U operators (per tuple, one-row
+/// batches, and one selected batch) and checks `out_of_region` against
+/// the OR of half-open Rect::Contains over `tiles`, point by point.
+void ExpectUnionMembershipExact(const std::vector<geom::Rect>& tiles,
+                                const std::vector<geom::SpaceTimePoint>& pts) {
+  auto per_tuple = ops::UnionOperator::Make("u", tiles).MoveValue();
+  auto one_row = ops::UnionOperator::Make("u", tiles).MoveValue();
+  std::uint64_t expected_total = 0;
+  std::uint64_t expected_selected = 0;
+  ops::TupleBatch all;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    bool inside = false;
+    for (const geom::Rect& tile : tiles) {
+      inside = inside || tile.Contains(pts[i].x, pts[i].y);
+    }
+    ops::Tuple tuple;
+    tuple.id = i;
+    tuple.point = pts[i];
+    const std::uint64_t before = per_tuple->out_of_region();
+    ASSERT_TRUE(per_tuple->Push(tuple).ok());
+    EXPECT_EQ(per_tuple->out_of_region() - before, inside ? 0u : 1u)
+        << "per-tuple x=" << pts[i].x << " y=" << pts[i].y;
+    ops::TupleBatch single;
+    single.Append(tuple);
+    const std::uint64_t batch_before = one_row->out_of_region();
+    ASSERT_TRUE(one_row->PushBatch(single).ok());
+    EXPECT_EQ(one_row->out_of_region() - batch_before, inside ? 0u : 1u)
+        << "batch x=" << pts[i].x << " y=" << pts[i].y;
+    all.Append(tuple);
+    expected_total += !inside;
+    expected_selected += (i % 3 != 1) && !inside;
+  }
+  EXPECT_EQ(per_tuple->out_of_region(), expected_total);
+  // A selected batch counts only its active rows.
+  auto selected = ops::UnionOperator::Make("u", tiles).MoveValue();
+  all.RetainRaw([](std::uint32_t raw) { return raw % 3 != 1; });
+  ASSERT_TRUE(selected->PushBatch(all).ok());
+  EXPECT_EQ(selected->out_of_region(), expected_selected);
+}
+
+/// Every tile edge, one ulp either side of it, the midpoints between
+/// consecutive edges and two outside values, per axis; the cross product
+/// puts points on every seam, edge and corner.
+std::vector<geom::SpaceTimePoint> SeamProbePoints(
+    const std::vector<geom::Rect>& tiles) {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const geom::Rect& tile : tiles) {
+    for (const double v : {tile.x_min(), tile.x_max()}) {
+      xs.insert(xs.end(), {v, std::nextafter(v, -1e300),
+                           std::nextafter(v, 1e300)});
+    }
+    for (const double v : {tile.y_min(), tile.y_max()}) {
+      ys.insert(ys.end(), {v, std::nextafter(v, -1e300),
+                           std::nextafter(v, 1e300)});
+    }
+  }
+  for (std::vector<double>* axis : {&xs, &ys}) {
+    std::sort(axis->begin(), axis->end());
+    axis->erase(std::unique(axis->begin(), axis->end()), axis->end());
+    const std::size_t n = axis->size();
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      axis->push_back(0.5 * ((*axis)[i] + (*axis)[i + 1]));
+    }
+    axis->push_back(-1e9);
+    axis->push_back(1e9);
+  }
+  std::vector<geom::SpaceTimePoint> points;
+  for (const double x : xs) {
+    for (const double y : ys) {
+      points.push_back(geom::SpaceTimePoint{0.0, x, y});
+    }
+  }
+  points.push_back(geom::SpaceTimePoint{
+      0.0, std::numeric_limits<double>::quiet_NaN(), tiles[0].y_min()});
+  points.push_back(geom::SpaceTimePoint{
+      0.0, tiles[0].x_min(), std::numeric_limits<double>::infinity()});
+  return points;
+}
+
+TEST(UnionMembershipTest, GridCellSeamsMatchContainsOr) {
+  // CellRect computes a cell's max edge as x0 + w and the next cell's min
+  // as x_min + (q + 1) * w; on these grids the two differ by an ulp at
+  // some seams, leaving points that lie in no tile.
+  const std::pair<geom::Rect, std::uint32_t> grids[] = {
+      {geom::Rect(-1.3, 0.2, 2.9, 3.1), 16},
+      {geom::Rect(0.3, 0.3, 2.3, 2.3), 25},
+      {geom::Rect(0, 0, 6, 6), 9}};
+  std::size_t seams = 0;
+  for (const auto& [region, h] : grids) {
+    SCOPED_TRACE(region.ToString() + " h=" + std::to_string(h));
+    const auto grid = geom::Grid::Make(region, h).MoveValue();
+    std::uint32_t side = 1;
+    while ((side + 1) * (side + 1) <= h) {
+      ++side;
+    }
+    std::vector<geom::Rect> tiles;
+    for (std::uint32_t q = 0; q < side; ++q) {
+      for (std::uint32_t r = 0; r < side; ++r) {
+        tiles.push_back(grid.CellRect({q, r}));
+        if (q + 1 < side) {
+          seams += tiles.back().x_max() < grid.CellRect({q + 1, r}).x_min();
+        }
+        if (r + 1 < side) {
+          seams += tiles.back().y_max() < grid.CellRect({q, r + 1}).y_min();
+        }
+      }
+    }
+    ExpectUnionMembershipExact(tiles, SeamProbePoints(tiles));
+  }
+  EXPECT_GT(seams, 0u) << "no grid left an ulp seam; pick other grids";
+}
+
+TEST(UnionMembershipTest, HandMadeSeamsMatchContainsOr) {
+  // A 2 x 2 tiling whose inner edges open one-ulp gaps on x and y, plus
+  // an L of three tiles (the fourth quadrant missing would fail the
+  // tiling rule, so it is split off as its own thin strip instead).
+  const double a = 1.0;
+  const double a_up = std::nextafter(a, 2.0);
+  const double b = 0.7;
+  const double b_up = std::nextafter(b, 2.0);
+  const std::vector<geom::Rect> quad = {
+      geom::Rect(0, 0, a, b), geom::Rect(a_up, 0, 2, b),
+      geom::Rect(0, b_up, a, 2), geom::Rect(a_up, b_up, 2, 2)};
+  ExpectUnionMembershipExact(quad, SeamProbePoints(quad));
+  const std::vector<geom::Rect> strips = {
+      geom::Rect(0, 0, a, 2), geom::Rect(a_up, 0, 2, b),
+      geom::Rect(a_up, b, 2, 2)};
+  ExpectUnionMembershipExact(strips, SeamProbePoints(strips));
 }
 
 // ---------------------------------------------------------------------------
