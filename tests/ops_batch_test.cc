@@ -37,6 +37,52 @@ bool SameTuple(const Tuple& a, const Tuple& b) {
          a.value == b.value && a.sensor_id == b.sensor_id;
 }
 
+/// FNV-1a digest of a delivered stream (the fold ops_vectorized_test
+/// and core_engine_test pin with).
+std::uint64_t FnvFold(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t StreamDigest(const std::vector<Tuple>& tuples) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const auto& tuple : tuples) {
+    h = FnvFold(h, &tuple.id, sizeof(tuple.id));
+    h = FnvFold(h, &tuple.sensor_id, sizeof(tuple.sensor_id));
+    h = FnvFold(h, &tuple.attribute, sizeof(tuple.attribute));
+    h = FnvFold(h, &tuple.point.t, sizeof(tuple.point.t));
+    h = FnvFold(h, &tuple.point.x, sizeof(tuple.point.x));
+    h = FnvFold(h, &tuple.point.y, sizeof(tuple.point.y));
+    const auto kind = static_cast<unsigned char>(tuple.value.kind());
+    h = FnvFold(h, &kind, sizeof(kind));
+    const std::string rendered = PayloadToString(tuple.value);
+    h = FnvFold(h, rendered.data(), rendered.size());
+  }
+  return h;
+}
+
+/// FNV-1a digest of a Flatten report sequence: batch size, retained and
+/// violation counts, and the completion time of every firing.
+std::uint64_t ReportDigest(const std::vector<FlattenBatchReport>& reports) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const FlattenBatchReport& r : reports) {
+    const std::uint64_t counts[3] = {r.n, r.retained, r.violations};
+    h = FnvFold(h, counts, sizeof(counts));
+    h = FnvFold(h, &r.completed_at, sizeof(r.completed_at));
+  }
+  return h;
+}
+
+/// Expects an operator's throughput counters to equal pinned values.
+void ExpectStats(const Operator& op, std::uint64_t in, std::uint64_t out) {
+  EXPECT_EQ(op.stats().tuples_in, in) << op.name();
+  EXPECT_EQ(op.stats().tuples_out, out) << op.name();
+}
+
 void ExpectSameTuples(const std::vector<Tuple>& a,
                       const std::vector<Tuple>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -162,6 +208,8 @@ TEST(BatchEquivalenceTest, Thin) {
   ExpectSameTuples(sa->tuples(), sb->tuples());
   ExpectSameStats(*a, *b);
   ExpectSameStats(*sa, *sb);
+  EXPECT_EQ(StreamDigest(sa->tuples()), 2052579215025289826ULL);
+  ExpectStats(*a, 700, 268);
 }
 
 TEST(BatchEquivalenceTest, FilterAndMap) {
@@ -187,6 +235,9 @@ TEST(BatchEquivalenceTest, FilterAndMap) {
   ExpectSameTuples(sa->tuples(), sb->tuples());
   ExpectSameStats(*fa, *fb);
   ExpectSameStats(*ma, *mb);
+  EXPECT_EQ(StreamDigest(sa->tuples()), 17487618854461063554ULL);
+  ExpectStats(*fa, 500, 238);
+  ExpectStats(*ma, 238, 238);
 }
 
 TEST(BatchEquivalenceTest, PartitionRoutesAndCountsUnrouted) {
@@ -214,6 +265,10 @@ TEST(BatchEquivalenceTest, PartitionRoutesAndCountsUnrouted) {
   ExpectSameStats(*a, *b);
   EXPECT_EQ(a->unrouted(), b->unrouted());
   EXPECT_GT(a->unrouted(), 0u);
+  EXPECT_EQ(StreamDigest(sinks[0]->tuples()), 16768332196704450918ULL);
+  EXPECT_EQ(StreamDigest(sinks[1]->tuples()), 17792859147379013510ULL);
+  ExpectStats(*a, 600, 451);
+  EXPECT_EQ(a->unrouted(), 149u);
 }
 
 TEST(BatchEquivalenceTest, UnionSuperposePassThroughBroadcast) {
@@ -250,6 +305,12 @@ TEST(BatchEquivalenceTest, UnionSuperposePassThroughBroadcast) {
   ExpectSameStats(*pa, *pb);
   ExpectSameStats(*xa, *xb);
   EXPECT_EQ(ua->out_of_region(), ub->out_of_region());
+  EXPECT_EQ(StreamDigest(s1a->tuples()), 10922601581266753348ULL);
+  EXPECT_EQ(StreamDigest(s2a->tuples()), 10922601581266753348ULL);
+  ExpectStats(*ua, 400, 400);
+  ExpectStats(*pa, 400, 400);
+  ExpectStats(*xa, 400, 400);
+  EXPECT_EQ(ua->out_of_region(), 0u);
 }
 
 TEST(BatchEquivalenceTest, RateMonitorWindows) {
@@ -266,6 +327,10 @@ TEST(BatchEquivalenceTest, RateMonitorWindows) {
   ExpectSameStats(*a, *b);
   EXPECT_EQ(a->window_rates().count(), b->window_rates().count());
   EXPECT_DOUBLE_EQ(a->MeanRate(), b->MeanRate());
+  EXPECT_EQ(StreamDigest(sa->tuples()), 2057073426172552357ULL);
+  ExpectStats(*a, 500, 500);
+  EXPECT_EQ(a->window_rates().count(), 9u);
+  EXPECT_DOUBLE_EQ(a->MeanRate(), 6.25);
 }
 
 TEST(BatchEquivalenceTest, SinkEvictionBoundaries) {
@@ -279,6 +344,9 @@ TEST(BatchEquivalenceTest, SinkEvictionBoundaries) {
   ExpectSameTuples(a->tuples(), b->tuples());
   ExpectSameStats(*a, *b);
   EXPECT_EQ(a->total_received(), b->total_received());
+  EXPECT_EQ(StreamDigest(a->tuples()), 17323866322329031844ULL);
+  EXPECT_EQ(a->tuples().size(), 20u);
+  ExpectStats(*a, 400, 0);
 }
 
 TEST(BatchEquivalenceTest, FlattenBatchModeWithDiscardSideOutput) {
@@ -326,6 +394,10 @@ TEST(BatchEquivalenceTest, FlattenBatchModeWithDiscardSideOutput) {
       EXPECT_GE(reports_a[i].completed_at, reports_a[i - 1].completed_at);
     }
   }
+  EXPECT_EQ(StreamDigest(sa->tuples()), 11307885544392380829ULL);
+  EXPECT_EQ(StreamDigest(da->tuples()), 14695981039346656037ULL);  // empty
+  ExpectStats(*a, 700, 700);
+  EXPECT_EQ(ReportDigest(reports_a), 16308277531118930073ULL);
 }
 
 TEST(BatchEquivalenceTest, FlattenOnlineMode) {
@@ -346,6 +418,9 @@ TEST(BatchEquivalenceTest, FlattenOnlineMode) {
   ExpectSameTuples(sa->tuples(), sb->tuples());
   ExpectSameStats(*a, *b);
   EXPECT_DOUBLE_EQ(a->last_violation_percent(), b->last_violation_percent());
+  EXPECT_EQ(StreamDigest(sa->tuples()), 12273841197502486184ULL);
+  ExpectStats(*a, 600, 600);
+  EXPECT_DOUBLE_EQ(a->last_violation_percent(), 100.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -454,6 +529,30 @@ void ExpectSameDelivery(const DeliveredStreams& a,
   }
 }
 
+/// FNV-1a digest of every query's sorted delivered stream, in query-id
+/// order.
+std::uint64_t DeliveryDigest(const DeliveredStreams& d) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const auto& [id, tuples] : d.delivered) {
+    const std::uint64_t stream = StreamDigest(tuples);
+    h = FnvFold(h, &id, sizeof(id));
+    h = FnvFold(h, &stream, sizeof(stream));
+  }
+  return h;
+}
+
+// The churn workload's delivery, pinned from the per-tuple reference path.
+constexpr std::uint64_t kChurnDeliveryDigest = 17247614706492924746ULL;
+constexpr std::uint64_t kChurnTuplesRouted = 958;
+constexpr std::uint64_t kChurnTuplesUnrouted = 194;
+constexpr std::uint64_t kChurnOperatorEvaluations = 2421;
+
+void ExpectPinnedChurnDelivery(const DeliveredStreams& d) {
+  EXPECT_EQ(DeliveryDigest(d), kChurnDeliveryDigest);
+  EXPECT_EQ(d.tuples_routed, kChurnTuplesRouted);
+  EXPECT_EQ(d.tuples_unrouted, kChurnTuplesUnrouted);
+}
+
 /// Runs the churn workload against any fabricator-shaped object. The
 /// `pump` argument chooses per-tuple or batch driving.
 template <typename Fab, typename Pump>
@@ -555,6 +654,8 @@ TEST(BatchPipelineEquivalenceTest, BatchPathMatchesPerTupleUnderChurn) {
     total += tuples.size();
   }
   ASSERT_GT(total, 0u) << "workload delivered nothing; test is vacuous";
+  ExpectPinnedChurnDelivery(reference);
+  EXPECT_EQ(reference.operator_evaluations, kChurnOperatorEvaluations);
 
   const DeliveredStreams batched = RunBatchSingle();
   ExpectSameDelivery(reference, batched);
@@ -566,6 +667,7 @@ TEST(BatchPipelineEquivalenceTest, BatchPathMatchesPerTupleUnderChurn) {
 
 TEST(BatchPipelineEquivalenceTest, ShardedBatchPathMatchesPerTuple) {
   const DeliveredStreams reference = RunPerTupleReference();
+  ExpectPinnedChurnDelivery(reference);
   for (const std::size_t shards : {1u, 4u}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
     ExpectSameDelivery(reference, RunBatchSharded(shards));

@@ -204,12 +204,25 @@ TEST(FlattenTest, FlushProcessesPartialBatch) {
   EXPECT_EQ(flatten->last_report().n, 20u);
 }
 
+/// FNV-1a fold of one 64-bit value.
+std::uint64_t Fold(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// Pushes `sizes`-sized batches of one tuple stream into a batch-driven
 /// Flatten and the same stream tuple by tuple into a twin, checking after
 /// every batch that both have fired the same batches, then that both
 /// deliver the same stream. Every second batch arrives with every other
-/// row deselected (a Partition port's view).
-void ExpectBatchPushMatchesPerTuple(const std::vector<std::size_t>& sizes) {
+/// row deselected (a Partition port's view). `pinned_trace` is the FNV-1a
+/// digest of the firing trace: after every batch, the sizes of the
+/// batches fired so far and the tuples delivered so far; after the final
+/// flush, the same again plus every delivered id.
+void ExpectBatchPushMatchesPerTuple(const std::vector<std::size_t>& sizes,
+                                    std::uint64_t pinned_trace) {
   const geom::Rect region(0, 0, 2, 2);
   FlattenConfig config = BaseConfig(region, 6.0);
   config.batch_size = 16;
@@ -228,6 +241,15 @@ void ExpectBatchPushMatchesPerTuple(const std::vector<std::size_t>& sizes) {
     single_reports.push_back(report.n);
   });
 
+  std::uint64_t trace = 14695981039346656037ULL;
+  const auto fold_firings = [&trace](const std::vector<std::size_t>& reports,
+                                     const SinkOperator& sink) {
+    trace = Fold(trace, reports.size());
+    for (const std::size_t n : reports) {
+      trace = Fold(trace, n);
+    }
+    trace = Fold(trace, sink.total_received());
+  };
   Rng rng(61);
   std::uint64_t next_id = 1;
   double t = 0.0;
@@ -256,6 +278,7 @@ void ExpectBatchPushMatchesPerTuple(const std::vector<std::size_t>& sizes) {
     ASSERT_TRUE(batched->PushBatch(batch).ok());
     ASSERT_EQ(batched_reports, single_reports);
     ASSERT_EQ(batched_sink->total_received(), single_sink->total_received());
+    fold_firings(single_reports, *single_sink);
   }
   ASSERT_TRUE(batched->Flush().ok());
   ASSERT_TRUE(single->Flush().ok());
@@ -265,16 +288,26 @@ void ExpectBatchPushMatchesPerTuple(const std::vector<std::size_t>& sizes) {
     EXPECT_EQ(batched_sink->tuples()[i].id, single_sink->tuples()[i].id);
   }
   EXPECT_EQ(batched->stats().tuples_in, single->stats().tuples_in);
+  fold_firings(single_reports, *single_sink);
+  for (const Tuple& tuple : single_sink->tuples()) {
+    trace = Fold(trace, tuple.id);
+  }
+  EXPECT_EQ(trace, pinned_trace);
+  std::size_t total = 0;
+  for (const std::size_t size : sizes) {
+    total += size;
+  }
+  EXPECT_EQ(single->stats().tuples_in, total);
 }
 
 TEST(FlattenTest, BatchEndingExactlyAtBatchSizeFiresLikePerTuple) {
   // 5 + 11 = 16 and 9 + 7 = 16: both batches end on the boundary.
-  ExpectBatchPushMatchesPerTuple({5, 11, 9, 7, 3});
+  ExpectBatchPushMatchesPerTuple({5, 11, 9, 7, 3}, 8656684084266995703ULL);
 }
 
 TEST(FlattenTest, BatchCrossingBatchSizeFiresLikePerTuple) {
   // 7 + 20 crosses 16 once; 11 + 40 crosses it three times.
-  ExpectBatchPushMatchesPerTuple({7, 20, 40, 15, 1});
+  ExpectBatchPushMatchesPerTuple({7, 20, 40, 15, 1}, 2803788178170988080ULL);
 }
 
 TEST(FlattenTest, SetTargetRateValidatesAndApplies) {

@@ -670,9 +670,14 @@ TEST(VectorizedSweepTest, PartitionCountsDisconnectedPortsUnrouted) {
   DriveBatched(vectorized.head, tuples);
   EXPECT_GT(vectorized.head->unrouted(), 0u);
   EXPECT_EQ(vectorized.head->unrouted(), scalar.head->unrouted());
+  EXPECT_EQ(scalar.head->unrouted(), 1252u);
   for (std::size_t k = 0; k < 2; ++k) {
     EXPECT_EQ(StreamDigest(vectorized.sinks[k]->tuples()),
               StreamDigest(scalar.sinks[k]->tuples()));
+    // The connected ports deliver what they deliver with all four
+    // connected.
+    EXPECT_EQ(StreamDigest(scalar.sinks[k]->tuples()),
+              kPartitionPortDigest[k]);
   }
 }
 
