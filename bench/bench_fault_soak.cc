@@ -34,10 +34,10 @@ using namespace craqr;  // NOLINT
 constexpr ops::AttributeId kRain = 0;
 constexpr ops::AttributeId kTemp = 1;
 
-std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
-                                  std::uint64_t* next_id) {
-  std::vector<ops::Tuple> batch;
-  batch.reserve(n);
+ops::TupleBatch MakeBatch(Rng* rng, double* t, std::size_t n,
+                          std::uint64_t* next_id) {
+  ops::TupleBatch batch;
+  batch.Reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ops::Tuple tuple;
     tuple.id = (*next_id)++;
@@ -45,7 +45,7 @@ std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
     *t += 0.002;
     tuple.point = geom::SpaceTimePoint{*t, rng->Uniform(0.0, 4.0),
                                        rng->Uniform(0.0, 4.0)};
-    batch.push_back(tuple);
+    batch.Append(tuple);
   }
   return batch;
 }

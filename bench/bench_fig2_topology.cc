@@ -84,18 +84,18 @@ int main() {
   const auto temp_supply =
       craqr::pp::SimulateInhomogeneous(&rng, *supply_model, window)
           .MoveValue();
-  std::vector<craqr::ops::Tuple> batch;
+  craqr::ops::TupleBatch batch;
   for (const auto& p : rain_supply) {
     craqr::ops::Tuple t;
     t.point = p;
     t.attribute = kRain;
-    batch.push_back(t);
+    batch.Append(t);
   }
   for (const auto& p : temp_supply) {
     craqr::ops::Tuple t;
     t.point = p;
     t.attribute = kTemp;
-    batch.push_back(t);
+    batch.Append(t);
   }
   (void)fabricator->ProcessBatch(batch);
 

@@ -52,11 +52,13 @@ FlattenOutcome RunFlatten(double slope, double target_rate,
       ops::FlattenOperator::Make("f", config, Rng(seed + 1)).MoveValue();
   auto sink = ops::SinkOperator::Make("sink", 1 << 24).MoveValue();
   flatten->AddOutput(sink.get());
+  ops::TupleBatch batch;
   for (const auto& p : points) {
     ops::Tuple tuple;
     tuple.point = p;
-    (void)flatten->Push(tuple);
+    batch.Append(tuple);
   }
+  (void)flatten->PushBatch(batch);
   (void)flatten->Flush();
 
   std::vector<geom::SpaceTimePoint> retained;

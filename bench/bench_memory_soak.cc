@@ -174,7 +174,8 @@ int main(int argc, char** argv) {
     (void)bench::WorkloadGenerator(twin).MakeBatches();
 
     const auto start = std::chrono::steady_clock::now();
-    for (const auto& batch : gen.MakeBatches()) {
+    for (const auto& tuples : gen.MakeBatches()) {
+      ops::TupleBatch batch(tuples);
       if (!rt.fab->ProcessBatch(batch).ok()) {
         std::fprintf(stderr, "ProcessBatch failed at round %zu\n", round);
         return 1;

@@ -186,7 +186,8 @@ SweepResult RunSweepConfig(const bench::WorkloadGenerator& gen,
   for (std::size_t b = 0; b < batches.size(); ++b) {
     apply_until(b);
     const auto start = std::chrono::steady_clock::now();
-    if (!fab->EnqueueBatch(batches[b]).ok()) {
+    ops::TupleBatch batch(batches[b]);
+    if (!fab->EnqueueBatch(batch).ok()) {
       std::fprintf(stderr, "EnqueueBatch failed\n");
       std::exit(1);
     }
@@ -349,7 +350,8 @@ bool RunChurnBench(std::size_t batches, std::size_t batch_size) {
         streams.erase(it);
       }
     }
-    if (!fab->ProcessBatch(tuple_batches[b]).ok()) {
+    ops::TupleBatch batch(tuple_batches[b]);
+    if (!fab->ProcessBatch(batch).ok()) {
       std::fprintf(stderr, "ProcessBatch failed\n");
       return false;
     }

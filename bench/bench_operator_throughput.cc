@@ -6,14 +6,14 @@
 /// per-tuple cost — for every operator kind and for chains of increasing
 /// depth (the shape query insertion produces).
 ///
-/// The `...PerTuple` / `...Batch` benchmark pairs print the
-/// tuple-at-a-time `Push` path and the batch-native `PushBatch` path side
-/// by side (same topology, same seeds, identical delivered tuple sets —
-/// the U below both Partition branches sees them batch-grouped rather
-/// than per-tuple-interleaved), so CI logs record the vectorized-executor
-/// speedup: compare the items_per_second columns of
-/// BM_Fig2TopologyPerTuple vs BM_Fig2TopologyBatch, and
-/// BM_ThinChainDepthBatch vs BM_ThinChainDepth.
+/// Every operator is driven through `PushBatch`, its only entry point.
+/// The single-operator rows (BM_PassThrough, BM_Thin, BM_Partition,
+/// BM_Union, BM_FlattenBatch, BM_FlattenOnline) push batches of
+/// kOpBatchSize tuples; in BENCH files up to BENCH_PR16.json the rows of
+/// those names pushed one tuple per iteration, so the two series are not
+/// comparable. BM_Fig2TopologyBatch, BM_ThinChainDepthBatch and
+/// BM_StringFlattenChainBatch time the cell-chain shapes query insertion
+/// builds.
 ///
 /// The `...SweepScalar` / `...SweepMask` pairs isolate the PR-5 selection
 /// kernels: the per-row branchy RNG / containment sweeps (the pre-PR
@@ -64,25 +64,31 @@ std::vector<ops::Tuple> MakeTuples(std::size_t n) {
   return tuples;
 }
 
+/// Tuples per pushed batch in the single-operator rows.
+constexpr std::size_t kOpBatchSize = 256;
+
+/// Pushes `tuples` through `op` as one refilled batch per iteration; the
+/// refill copy is part of the measured cost, as in the chain rows below.
+void PushBatches(benchmark::State& state, ops::Operator* op,
+                 const std::vector<ops::Tuple>& tuples) {
+  ops::TupleBatch batch;
+  for (auto _ : state) {
+    batch.Assign(tuples);
+    benchmark::DoNotOptimize(op->PushBatch(batch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tuples.size()));
+}
+
 void BM_PassThrough(benchmark::State& state) {
   auto op = ops::PassThroughOperator::Make("id").MoveValue();
-  const auto tuples = MakeTuples(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Push(tuples[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
+  PushBatches(state, op.get(), MakeTuples(kOpBatchSize));
 }
 BENCHMARK(BM_PassThrough);
 
 void BM_Thin(benchmark::State& state) {
   auto op = ops::ThinOperator::Make("t", 10.0, 5.0, Rng(1)).MoveValue();
-  const auto tuples = MakeTuples(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Push(tuples[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
+  PushBatches(state, op.get(), MakeTuples(kOpBatchSize));
 }
 BENCHMARK(BM_Thin);
 
@@ -91,24 +97,16 @@ void BM_Partition(benchmark::State& state) {
   std::vector<geom::Rect> regions;
   std::vector<std::unique_ptr<ops::SinkOperator>> sinks;
   const double width = 4.0 / static_cast<double>(k);
-  auto op_result = ops::PartitionOperator::Make("p", [&] {
-    for (std::size_t i = 0; i < k; ++i) {
-      regions.emplace_back(static_cast<double>(i) * width, 0.0,
-                           static_cast<double>(i + 1) * width, 4.0);
-    }
-    return regions;
-  }());
-  auto op = op_result.MoveValue();
+  for (std::size_t i = 0; i < k; ++i) {
+    regions.emplace_back(static_cast<double>(i) * width, 0.0,
+                         static_cast<double>(i + 1) * width, 4.0);
+  }
+  auto op = ops::PartitionOperator::Make("p", regions).MoveValue();
   for (std::size_t i = 0; i < k; ++i) {
     sinks.push_back(ops::SinkOperator::Make("s", 1024).MoveValue());
     op->AddOutput(sinks.back().get());
   }
-  const auto tuples = MakeTuples(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Push(tuples[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
+  PushBatches(state, op.get(), MakeTuples(kOpBatchSize));
 }
 BENCHMARK(BM_Partition)->Arg(2)->Arg(4)->Arg(16);
 
@@ -116,12 +114,7 @@ void BM_Union(benchmark::State& state) {
   auto op = ops::UnionOperator::Make(
                 "u", {geom::Rect(0, 0, 2, 4), geom::Rect(2, 0, 4, 4)})
                 .MoveValue();
-  const auto tuples = MakeTuples(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Push(tuples[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
+  PushBatches(state, op.get(), MakeTuples(kOpBatchSize));
 }
 BENCHMARK(BM_Union);
 
@@ -131,12 +124,7 @@ void BM_FlattenBatch(benchmark::State& state) {
   config.target_rate = 1.0;
   config.batch_size = static_cast<std::size_t>(state.range(0));
   auto op = ops::FlattenOperator::Make("f", config, Rng(2)).MoveValue();
-  const auto tuples = MakeTuples(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Push(tuples[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
+  PushBatches(state, op.get(), MakeTuples(kOpBatchSize));
 }
 BENCHMARK(BM_FlattenBatch)->Arg(64)->Arg(256)->Arg(1024);
 
@@ -146,30 +134,35 @@ void BM_FlattenOnline(benchmark::State& state) {
   config.target_rate = 1.0;
   config.mode = ops::FlattenMode::kOnline;
   auto op = ops::FlattenOperator::Make("f", config, Rng(3)).MoveValue();
-  // Monotone time required by the online estimator.
+  // Monotone time required by the online estimator: every batch carries
+  // fresh positions at times after the previous batch's.
   Rng rng(4);
   double t = 0.0;
+  ops::TupleBatch batch;
   ops::Tuple tuple;
   for (auto _ : state) {
-    t += 0.001;
-    tuple.point = geom::SpaceTimePoint{t, rng.Uniform(0.0, 4.0),
-                                       rng.Uniform(0.0, 4.0)};
-    benchmark::DoNotOptimize(op->Push(tuple));
+    batch.Clear();
+    for (std::size_t i = 0; i < kOpBatchSize; ++i) {
+      t += 0.001;
+      tuple.point = geom::SpaceTimePoint{t, rng.Uniform(0.0, 4.0),
+                                         rng.Uniform(0.0, 4.0)};
+      batch.Append(tuple);
+    }
+    benchmark::DoNotOptimize(op->PushBatch(batch));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kOpBatchSize));
 }
 BENCHMARK(BM_FlattenOnline);
 
 // ---------------------------------------------------------------------------
-// Per-tuple vs batch, side by side
+// Cell-chain shapes
 
 /// The Fig-2 cell-chain shape: a 3-deep descending T chain into P (two
-/// branches) into U, delivered through a rate monitor into a sink — the
-/// stages whose execution model actually differs between tuple-at-a-time
-/// and batch. The F head is deliberately omitted: in the paper's primary
-/// kBatch formulation F buffers and re-batches the stream identically
-/// under both execution models, so including it would only add a large
-/// identical constant to both sides of the comparison.
+/// branches) into U, delivered through a rate monitor into a sink. The F
+/// head is deliberately omitted: in the paper's primary kBatch
+/// formulation F buffers and re-batches the stream, so it would only add
+/// a large constant (BM_StringFlattenChainBatch times an online F head).
 struct Fig2Topology {
   ops::Pipeline pipeline;
   ops::ThinOperator* head = nullptr;
@@ -179,8 +172,7 @@ struct Fig2Topology {
 Fig2Topology MakeFig2Topology() {
   Fig2Topology topo;
   // Realistic post-F retention ratios: consecutive query rates are close,
-  // so most tuples survive deep into the chain (the expensive case for
-  // per-tuple dispatch).
+  // so most tuples survive deep into the chain.
   topo.head = topo.pipeline.Add(
       ops::ThinOperator::Make("t1", 20.0, 17.0, Rng(22)).MoveValue());
   auto* t2 = topo.pipeline.Add(
@@ -209,20 +201,6 @@ Fig2Topology MakeFig2Topology() {
 }
 
 constexpr std::size_t kFig2BatchSize = 256;
-
-void BM_Fig2TopologyPerTuple(benchmark::State& state) {
-  Fig2Topology topo = MakeFig2Topology();
-  const auto tuples = MakeTuples(kFig2BatchSize);
-  for (auto _ : state) {
-    for (const ops::Tuple& tuple : tuples) {
-      benchmark::DoNotOptimize(topo.head->Push(tuple));
-    }
-    topo.sink->Clear();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kFig2BatchSize));
-}
-BENCHMARK(BM_Fig2TopologyPerTuple);
 
 void BM_Fig2TopologyBatch(benchmark::State& state) {
   Fig2Topology topo = MakeFig2Topology();
@@ -273,8 +251,7 @@ BENCHMARK(BM_ThinChainDepthBatch)->Arg(1)->Arg(4)->Arg(8);
 // refactor each hop moved a ~90-byte tuple with a std::string inside its
 // variant; now values are 12-byte interned PayloadRef handles, so the
 // Flatten buffer append, the retain sweep and the sink store never touch
-// string bytes. The PerTuple/Batch pair records the batch-execution win on
-// this chain in the release-bench CI logs.
+// string bytes.
 
 std::vector<ops::Tuple> MakeStringTuples(std::size_t n) {
   static const char* kCategories[7] = {"clear", "drizzle", "rain", "downpour",
@@ -298,12 +275,8 @@ std::vector<ops::Tuple> MakeStringTuples(std::size_t n) {
 /// The string-carrying Fig-2/Flatten chain: an online F head into the
 /// Fig-2 cell-chain shape (descending T chain -> P -> U -> Mon -> sink),
 /// every tuple carrying a categorical string payload. F runs in kOnline
-/// mode because that is where the two execution models actually diverge:
-/// the batch path does one estimator/RNG sweep that deselects drops in
-/// place, the per-tuple path pays a full per-tuple emit cascade. (A kBatch
-/// F buffers and re-batches the stream identically under both models, so
-/// it would only add an identical constant to both sides — the reason the
-/// plain Fig-2 pair omits the F head entirely.)
+/// mode: one estimator/RNG sweep that deselects drops in place, so the
+/// chain below it sees whole selected batches.
 struct StringFlattenChain {
   ops::Pipeline pipeline;
   ops::FlattenOperator* head = nullptr;
@@ -320,8 +293,8 @@ StringFlattenChain MakeStringFlattenChain() {
   topo.head = topo.pipeline.Add(
       ops::FlattenOperator::Make("f", config, Rng(31)).MoveValue());
   // A 6-deep descending T chain with close consecutive rates — the shape
-  // six near-rate queries on one cell produce, and the expensive case for
-  // per-tuple dispatch (most tuples survive to the bottom).
+  // six near-rate queries on one cell produce (most tuples survive to the
+  // bottom).
   std::vector<ops::ThinOperator*> thins;
   double rate = 20.0;
   for (int i = 0; i < 6; ++i) {
@@ -354,20 +327,6 @@ StringFlattenChain MakeStringFlattenChain() {
   return topo;
 }
 
-void BM_StringFlattenChainPerTuple(benchmark::State& state) {
-  StringFlattenChain topo = MakeStringFlattenChain();
-  const auto tuples = MakeStringTuples(kFig2BatchSize);
-  for (auto _ : state) {
-    for (const ops::Tuple& tuple : tuples) {
-      benchmark::DoNotOptimize(topo.head->Push(tuple));
-    }
-    topo.sink->Clear();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kFig2BatchSize));
-}
-BENCHMARK(BM_StringFlattenChainPerTuple);
-
 void BM_StringFlattenChainBatch(benchmark::State& state) {
   StringFlattenChain topo = MakeStringFlattenChain();
   const auto tuples = MakeStringTuples(kFig2BatchSize);
@@ -381,31 +340,6 @@ void BM_StringFlattenChainBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kFig2BatchSize));
 }
 BENCHMARK(BM_StringFlattenChainBatch);
-
-void BM_ThinChainDepth(benchmark::State& state) {
-  // A descending T chain of the given depth, as built by query insertion.
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  ops::Pipeline pipeline;
-  std::vector<ops::ThinOperator*> chain;
-  double rate = 1024.0;
-  for (std::size_t i = 0; i < depth; ++i) {
-    auto thin = ops::ThinOperator::Make("t" + std::to_string(i), rate,
-                                        rate / 2.0, Rng(10 + i))
-                    .MoveValue();
-    rate /= 2.0;
-    chain.push_back(pipeline.Add(std::move(thin)));
-    if (i > 0) {
-      chain[i - 1]->AddOutput(chain[i]);
-    }
-  }
-  const auto tuples = MakeTuples(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(chain.front()->Push(tuples[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ThinChainDepth)->Arg(1)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
 // PR-5 selection kernels: branchy scalar sweep vs branch-free mask sweep

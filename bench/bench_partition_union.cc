@@ -50,11 +50,13 @@ int main() {
               .MoveValue());
       partition->AddOutput(sinks.back().get());
     }
+    ops::TupleBatch batch;
     for (const auto& p : points) {
       ops::Tuple tuple;
       tuple.point = p;
-      (void)partition->Push(tuple);
+      batch.Append(tuple);
     }
+    (void)partition->PushBatch(batch);
     for (int i = 0; i < k; ++i) {
       const double expected = rate * strips[i].Area() * duration;
       const double observed =
@@ -80,11 +82,13 @@ int main() {
       const auto points = pp::SimulateHomogeneous(
                               &rng, rate, pp::SpaceTimeWindow{0, duration, piece})
                               .MoveValue();
+      ops::TupleBatch batch;
       for (const auto& p : points) {
         ops::Tuple tuple;
         tuple.point = p;
-        (void)union_op->Push(tuple);
+        batch.Append(tuple);
       }
+      (void)union_op->PushBatch(batch);
     }
     const double expected =
         rate * union_op->output_region().Area() * duration;
@@ -109,11 +113,13 @@ int main() {
     partition->AddOutput(union_op.get());
     partition->AddOutput(union_op.get());
     union_op->AddOutput(sink.get());
+    ops::TupleBatch batch;
     for (const auto& p : points) {
       ops::Tuple tuple;
       tuple.point = p;
-      (void)partition->Push(tuple);
+      batch.Append(tuple);
     }
+    (void)partition->PushBatch(batch);
     std::printf("input %zu tuples -> output %zu tuples (unrouted %llu)\n",
                 points.size(), sink->tuples().size(),
                 static_cast<unsigned long long>(partition->unrouted()));

@@ -176,7 +176,8 @@ RunResult RunSingleThreaded(const std::vector<std::vector<ops::Tuple>>& batches,
     std::exit(1);
   }
   auto result = TimedRun(batches, [&] {
-    for (const auto& batch : batches) {
+    for (const auto& tuples : batches) {
+      ops::TupleBatch batch(tuples);
       if (!fab->ProcessBatch(batch).ok()) {
         std::fprintf(stderr, "ProcessBatch failed\n");
         std::exit(1);
@@ -200,7 +201,8 @@ RunResult RunSharded(const std::vector<std::vector<ops::Tuple>>& batches,
   }
   auto result = TimedRun(batches, [&] {
     std::size_t enqueued = 0;
-    for (const auto& batch : batches) {
+    for (const auto& tuples : batches) {
+      ops::TupleBatch batch(tuples);
       if (!fab->EnqueueBatch(batch).ok()) {
         std::fprintf(stderr, "EnqueueBatch failed\n");
         std::exit(1);

@@ -43,11 +43,13 @@ int main() {
             .MoveValue();
     auto sink = ops::SinkOperator::Make("sink", 1 << 24).MoveValue();
     thin->AddOutput(sink.get());
+    ops::TupleBatch batch;
     for (const auto& p : input) {
       ops::Tuple tuple;
       tuple.point = p;
-      (void)thin->Push(tuple);
+      batch.Append(tuple);
     }
+    (void)thin->PushBatch(batch);
     std::vector<geom::SpaceTimePoint> retained;
     retained.reserve(sink->tuples().size());
     for (const auto& t : sink->tuples()) {

@@ -4,7 +4,10 @@
 ///
 /// Measures (a) insert+delete round-trip latency as a function of the
 /// number of resident queries, (b) insertion cost vs grid granularity h,
-/// and (c) the map-phase routing cost of ProcessTuple.
+/// and (c) the map-phase routing cost of ProcessBatch per routed tuple
+/// (batches of 256 since BENCH_PR18.json; earlier BENCH files timed one
+/// tuple per iteration through a per-tuple entry point, so the two
+/// series are not comparable).
 
 #include <benchmark/benchmark.h>
 
@@ -69,14 +72,24 @@ void BM_MapPhaseRouting(benchmark::State& state) {
     const auto q = RandomishQuery(i);
     benchmark::DoNotOptimize(fabricator->InsertQuery(0, q.region, q.rate));
   }
+  // One handler-sized batch per iteration, at advancing times; each
+  // ProcessBatch also flushes every topology (the batch boundary).
+  constexpr std::size_t kBatchSize = 256;
   Rng rng(5);
+  double t = 0.0;
+  ops::TupleBatch batch;
   ops::Tuple tuple;
   for (auto _ : state) {
-    tuple.point = geom::SpaceTimePoint{0.0, rng.Uniform(0.0, 12.0),
-                                       rng.Uniform(0.0, 12.0)};
-    benchmark::DoNotOptimize(fabricator->ProcessTuple(tuple));
+    for (std::size_t i = 0; i < kBatchSize; ++i) {
+      t += 0.001;
+      tuple.point = geom::SpaceTimePoint{t, rng.Uniform(0.0, 12.0),
+                                         rng.Uniform(0.0, 12.0)};
+      batch.Append(tuple);
+    }
+    benchmark::DoNotOptimize(fabricator->ProcessBatch(batch));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatchSize));
 }
 BENCHMARK(BM_MapPhaseRouting)->Arg(1)->Arg(32)->Arg(256);
 

@@ -72,10 +72,10 @@ Status NaiveEngine::Cancel(query::QueryId id) {
 Status NaiveEngine::Step() {
   now_ += config_.step_dt;
   world_.Advance(config_.step_dt);
+  ops::TupleBatch batch;
   for (auto& [id, slot] : slots_) {
     (void)id;
-    CRAQR_ASSIGN_OR_RETURN(std::vector<ops::Tuple> batch,
-                           slot->handler->Step(now_));
+    CRAQR_RETURN_NOT_OK(slot->handler->Step(now_, &batch));
     CRAQR_RETURN_NOT_OK(slot->fabricator->ProcessBatch(batch));
   }
   return Status::OK();

@@ -742,16 +742,6 @@ StreamFabricator::Chain* StreamFabricator::RouteTarget(
   return &chain_it->second;
 }
 
-Status StreamFabricator::ProcessTuple(const ops::Tuple& tuple) {
-  Chain* chain = RouteTarget(tuple.point.x, tuple.point.y, tuple.attribute);
-  if (chain == nullptr) {
-    ++tuples_unrouted_;
-    return Status::OK();
-  }
-  ++tuples_routed_;
-  return chain->flatten->Push(tuple);
-}
-
 void StreamFabricator::RebuildRouteTable() {
   route_dirty_ = false;
   ++route_rebuilds_;
@@ -957,12 +947,6 @@ Status StreamFabricator::ProcessBatch(ops::TupleBatch& batch) {
   batch.Clear();
   CRAQR_RETURN_NOT_OK(status);
   return FlushAll();
-}
-
-Status StreamFabricator::ProcessBatch(const std::vector<ops::Tuple>& batch) {
-  // Convenience path (tests, benches): one scatter, then the hot overload.
-  ops::TupleBatch columns(batch);
-  return ProcessBatch(columns);
 }
 
 Status StreamFabricator::FlushAll() {
@@ -1334,8 +1318,8 @@ Status StreamFabricator::ValidateInvariants() const {
       }
     }
   }
-  // Counter conservation: the batch path must account tuples_in/out
-  // exactly like the per-tuple path on every operator...
+  // Counter conservation: every operator accounts tuples_in/out by its
+  // kind's rule...
   Status stats_status = Status::OK();
   VisitOperators([&stats_status](const ops::Operator& op) {
     if (stats_status.ok()) {

@@ -52,9 +52,7 @@ class Counter;  // obs/metrics.h — sharing telemetry counters
 /// chain through `Operator::PushBatch` with the handler batch itself,
 /// its group adopted as the selection — routing copies no tuple, and the
 /// hot path pays one virtual call per operator per batch instead of per
-/// tuple. `ProcessTuple` remains as the tuple-at-a-time reference
-/// path; both deliver identical per-query streams (asserted in
-/// tests/ops_batch_test.cc). F-operator violation reports are buffered
+/// tuple. F-operator violation reports are buffered
 /// while a batch is in flight and replayed at the batch boundary sorted
 /// by `FlattenBatchReport::completed_at` — the canonical simulation-time
 /// order that the sharded runtime reproduces for any shard count.
@@ -255,28 +253,18 @@ class StreamFabricator {
       std::unordered_map<query::QueryId, query::QueryId>* id_map_out);
   ///@}
 
-  /// \brief Routes one crowdsensed tuple to its grid cell's topology (the
-  /// map phase). Tuples landing outside every materialized cell or with
-  /// an attribute no query asked for are counted and dropped. Violation
-  /// reports fired by an F batch boundary crossed here are buffered and
-  /// delivered only at the next FlushAll / ProcessBatch — drivers that
-  /// use ProcessTuple with a violation callback must flush at their own
-  /// batch boundaries (as ProcessBatch does) or no report is replayed.
-  Status ProcessTuple(const ops::Tuple& tuple);
-
-  /// \brief Batch-native map phase: a single-pass histogram partition
+  /// \brief The map phase: a single-pass histogram partition
   /// (per-row flat cell + dense-table bucket resolution, then
   /// count -> prefix-sum -> scatter) groups the batch's row indices by
   /// (cell, attribute) chain; each touched chain's F receives `batch`
   /// with its group adopted as the selection (ascending, arrival order),
   /// then every topology is flushed (batch boundary) and buffered
-  /// violation reports are replayed in completion-time order. No per-row
-  /// hashmap lookup, no per-row dispatch branch, no routed-row copy. The
-  /// batch is consumed (cleared on return; capacity kept).
+  /// violation reports are replayed in completion-time order. Tuples
+  /// landing outside every materialized cell or with an attribute no
+  /// query asked for are counted and dropped. No per-row hashmap lookup,
+  /// no per-row dispatch branch, no routed-row copy. The batch is
+  /// consumed (cleared on return; capacity kept).
   Status ProcessBatch(ops::TupleBatch& batch);
-
-  /// Copying convenience overload of the batch-native ProcessBatch.
-  Status ProcessBatch(const std::vector<ops::Tuple>& batch);
 
   /// Flushes all cell topologies and query merge stages, then replays
   /// buffered violation reports sorted by completion time.
@@ -486,8 +474,8 @@ class StreamFabricator {
   void BindChainReportCallback(Chain* chain, ops::AttributeId attribute,
                                const geom::CellIndex& index);
   /// Map-phase lookup: the chain owning a tuple at (x, y) with the given
-  /// attribute, or nullptr. Column-shaped so the batch path reads only
-  /// the point and attribute columns.
+  /// attribute, or nullptr. Column-shaped so the fallback router reads
+  /// only the point and attribute columns.
   Chain* RouteTarget(double x, double y, ops::AttributeId attribute);
   /// \brief Re-enumerates the chain buckets both routers group by and
   /// rebuilds the dense routing table the histogram router reads: one

@@ -39,9 +39,14 @@ Result<Grid> Grid::Make(const Rect& region, std::uint32_t h) {
 }
 
 Rect Grid::CellRect(const CellIndex& index) const {
-  const double x0 = region_.x_min() + index.q * cell_width_;
-  const double y0 = region_.y_min() + index.r * cell_height_;
-  return Rect(x0, y0, x0 + cell_width_, y0 + cell_height_);
+  // Both sides of every seam come from one formula, origin + k * size, so
+  // a cell's max edge is bit-equal to its neighbour's min edge (x0 + size
+  // can round an ulp past or short of it).
+  const double x_min = region_.x_min();
+  const double y_min = region_.y_min();
+  return Rect(x_min + index.q * cell_width_, y_min + index.r * cell_height_,
+              x_min + (index.q + 1) * cell_width_,
+              y_min + (index.r + 1) * cell_height_);
 }
 
 double Grid::CellArea() const { return cell_width_ * cell_height_; }

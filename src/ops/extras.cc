@@ -15,11 +15,6 @@ Result<std::unique_ptr<SuperposeOperator>> SuperposeOperator::Make(
       new SuperposeOperator(std::move(name)));
 }
 
-Status SuperposeOperator::Push(const Tuple& tuple) {
-  CountIn();
-  return Emit(tuple);
-}
-
 Status SuperposeOperator::PushBatch(TupleBatch& batch) {
   CountIn(batch.size());
   return Emit(batch);
@@ -35,14 +30,6 @@ Result<std::unique_ptr<FilterOperator>> FilterOperator::Make(
   }
   return std::unique_ptr<FilterOperator>(
       new FilterOperator(std::move(name), std::move(predicate)));
-}
-
-Status FilterOperator::Push(const Tuple& tuple) {
-  CountIn();
-  if (predicate_(tuple)) {
-    return Emit(tuple);
-  }
-  return Status::OK();
 }
 
 Status FilterOperator::PushBatch(TupleBatch& batch) {
@@ -61,11 +48,6 @@ Result<std::unique_ptr<MapOperator>> MapOperator::Make(std::string name,
   }
   return std::unique_ptr<MapOperator>(
       new MapOperator(std::move(name), std::move(transform)));
-}
-
-Status MapOperator::Push(const Tuple& tuple) {
-  CountIn();
-  return Emit(transform_(tuple));
 }
 
 Status MapOperator::PushBatch(TupleBatch& batch) {
@@ -113,12 +95,6 @@ void RateMonitorOperator::Observe(double t) {
   ++window_count_;
 }
 
-Status RateMonitorOperator::Push(const Tuple& tuple) {
-  CountIn();
-  Observe(tuple.point.t);
-  return Emit(tuple);
-}
-
 Status RateMonitorOperator::PushBatch(TupleBatch& batch) {
   CountIn(batch.size());
   // Window accounting reads only the time column.
@@ -140,13 +116,12 @@ void RateMonitorOperator::CloseCurrentWindow() {
 // SinkOperator
 
 Result<std::unique_ptr<SinkOperator>> SinkOperator::Make(std::string name,
-                                                         std::size_t capacity,
-                                                         Callback callback) {
+                                                         std::size_t capacity) {
   if (capacity < 1) {
     return Status::InvalidArgument("sink capacity must be >= 1");
   }
-  return std::unique_ptr<SinkOperator>(new SinkOperator(
-      std::move(name), capacity, std::move(callback), nullptr));
+  return std::unique_ptr<SinkOperator>(
+      new SinkOperator(std::move(name), capacity, nullptr));
 }
 
 Result<std::unique_ptr<SinkOperator>> SinkOperator::MakeBatched(
@@ -155,33 +130,16 @@ Result<std::unique_ptr<SinkOperator>> SinkOperator::MakeBatched(
     return Status::InvalidArgument("batched sink requires a callback");
   }
   return std::unique_ptr<SinkOperator>(
-      new SinkOperator(std::move(name), 1, nullptr, std::move(callback)));
+      new SinkOperator(std::move(name), 1, std::move(callback)));
 }
 
 void SinkOperator::Store(const Tuple& tuple) {
-  if (callback_) {
-    callback_(tuple);
-  }
   if (tuples_.size() >= capacity_) {
     // Evict the oldest half in one move to amortise the erase cost.
     tuples_.erase(tuples_.begin(),
                   tuples_.begin() + static_cast<std::ptrdiff_t>(capacity_ / 2 + 1));
   }
   tuples_.push_back(tuple);
-}
-
-Status SinkOperator::Push(const Tuple& tuple) {
-  CountIn();
-  if (batch_callback_) {
-    // Row-at-a-time reference path of a delivery-only sink: wrap the tuple
-    // in a recycled single-row batch so consumers see one shape.
-    push_scratch_.Clear();
-    push_scratch_.Append(tuple);
-    batch_callback_(push_scratch_);
-    return Status::OK();
-  }
-  Store(tuple);
-  return Status::OK();
 }
 
 Status SinkOperator::PushBatch(TupleBatch& batch) {
@@ -205,11 +163,6 @@ Result<std::unique_ptr<PassThroughOperator>> PassThroughOperator::Make(
     std::string name) {
   return std::unique_ptr<PassThroughOperator>(
       new PassThroughOperator(std::move(name)));
-}
-
-Status PassThroughOperator::Push(const Tuple& tuple) {
-  CountIn();
-  return Emit(tuple);
 }
 
 Status PassThroughOperator::PushBatch(TupleBatch& batch) {

@@ -30,7 +30,6 @@ class SuperposeOperator final : public Operator {
   /// Creates a superpose operator.
   static Result<std::unique_ptr<SuperposeOperator>> Make(std::string name);
 
-  Status Push(const Tuple& tuple) override;
   Status PushBatch(TupleBatch& batch) override;
   OperatorKind kind() const override { return OperatorKind::kSuperpose; }
 
@@ -49,9 +48,7 @@ class FilterOperator final : public Operator {
   static Result<std::unique_ptr<FilterOperator>> Make(std::string name,
                                                       Predicate predicate);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: in-place compaction of the tuples satisfying the
+  /// In-place compaction of the tuples satisfying the
   /// predicate, then one downstream emit.
   Status PushBatch(TupleBatch& batch) override;
 
@@ -74,9 +71,7 @@ class MapOperator final : public Operator {
   static Result<std::unique_ptr<MapOperator>> Make(std::string name,
                                                    Transform transform);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: transforms every tuple in place, then one emit.
+  /// Transforms every tuple in place, then one emit.
   Status PushBatch(TupleBatch& batch) override;
 
   OperatorKind kind() const override { return OperatorKind::kMap; }
@@ -102,10 +97,9 @@ class RateMonitorOperator final : public Operator {
   static Result<std::unique_ptr<RateMonitorOperator>> Make(
       std::string name, double window_duration, double area);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: one sweep advancing the window accounting (identical
-  /// per-tuple window transitions), then the batch is forwarded whole.
+  /// One sweep advancing the window accounting tuple by tuple (a window
+  /// closes at the first arrival past its end, wherever batches are cut),
+  /// then the batch is forwarded whole.
   Status PushBatch(TupleBatch& batch) override;
 
   OperatorKind kind() const override { return OperatorKind::kRateMonitor; }
@@ -128,8 +122,7 @@ class RateMonitorOperator final : public Operator {
         window_duration_(window_duration),
         area_(area) {}
 
-  /// Advances the window accounting by one arrival at time `t`; shared by
-  /// the per-tuple and batch paths so they cannot drift.
+  /// Advances the window accounting by one arrival at time `t`.
   void Observe(double t);
 
   void CloseWindowsUpTo(double t);
@@ -144,40 +137,32 @@ class RateMonitorOperator final : public Operator {
 
 /// \brief Sink: the endpoint of a fabricated crowdsensed data stream.
 ///
-/// Collects tuples into an in-memory buffer and/or forwards them to a
-/// callback. The buffer is capped; once full, the oldest tuples are
-/// evicted (the stream is a stream, not a table).
-///
-/// Two delivery shapes exist: the per-tuple `Callback` (plus the capped
-/// buffer), and the whole-batch `BatchCallback` used by delivery-only
-/// sinks (MakeBatched) — e.g. the sharded runtime's partial streams, which
-/// splice each delivered batch into the shard outbox under one mutex
-/// acquisition instead of one per tuple. Batched sinks do not retain
-/// tuples in the buffer (they exist to forward, not to store); counters
-/// account arrivals identically either way.
+/// Two shapes exist. A storing sink (Make) collects tuples into a capped
+/// in-memory buffer; once full, the oldest tuples are evicted (the stream
+/// is a stream, not a table). A delivery-only sink (MakeBatched) hands
+/// every batch to a `BatchCallback` and retains nothing — e.g. the
+/// sharded runtime's partial streams, which splice each delivered batch
+/// into the shard outbox under one mutex acquisition. Counters account
+/// arrivals identically either way.
 class SinkOperator final : public Operator {
  public:
-  using Callback = std::function<void(const Tuple&)>;
   /// Receives each delivered batch; active tuples only, arrival order.
   /// The batch is the caller's storage — copy out, never restructure.
   using BatchCallback = std::function<void(const TupleBatch&)>;
 
   /// Creates a sink retaining up to `capacity` most-recent tuples
-  /// (capacity >= 1); `callback` may be null.
+  /// (capacity >= 1).
   static Result<std::unique_ptr<SinkOperator>> Make(
-      std::string name, std::size_t capacity = 1 << 20,
-      Callback callback = nullptr);
+      std::string name, std::size_t capacity = 1 << 20);
 
-  /// Creates a delivery-only sink: every pushed tuple/batch reaches
-  /// `callback` as a batch; nothing is buffered.
+  /// Creates a delivery-only sink: every pushed batch reaches `callback`;
+  /// nothing is buffered.
   static Result<std::unique_ptr<SinkOperator>> MakeBatched(
       std::string name, BatchCallback callback);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: one batch-callback invocation (batched sinks) or one
-  /// storing sweep with the same eviction points the per-tuple path
-  /// produces.
+  /// One batch-callback invocation (batched sinks) or one storing sweep
+  /// that evicts at the arrival that finds the buffer full, wherever
+  /// batches are cut.
   Status PushBatch(TupleBatch& batch) override;
 
   OperatorKind kind() const override { return OperatorKind::kSink; }
@@ -204,23 +189,18 @@ class SinkOperator final : public Operator {
   }
 
  private:
-  SinkOperator(std::string name, std::size_t capacity, Callback callback,
+  SinkOperator(std::string name, std::size_t capacity,
                BatchCallback batch_callback)
       : Operator(std::move(name)),
         capacity_(capacity),
-        callback_(std::move(callback)),
         batch_callback_(std::move(batch_callback)) {}
 
-  /// Delivers one tuple (callback + capped buffer append with eviction);
-  /// shared by the per-tuple and batch paths so they cannot drift.
+  /// Appends one tuple to the capped buffer, evicting first when full.
   void Store(const Tuple& tuple);
 
   std::size_t capacity_;
-  Callback callback_;
   BatchCallback batch_callback_;
   std::vector<Tuple> tuples_;
-  /// Recycled single-row wrapper for Push on a batched sink.
-  TupleBatch push_scratch_;
 };
 
 /// \brief Id: forwards tuples unchanged. Used as an explicit branching
@@ -230,7 +210,6 @@ class PassThroughOperator final : public Operator {
   /// Creates a pass-through operator.
   static Result<std::unique_ptr<PassThroughOperator>> Make(std::string name);
 
-  Status Push(const Tuple& tuple) override;
   Status PushBatch(TupleBatch& batch) override;
   OperatorKind kind() const override { return OperatorKind::kPassThrough; }
 

@@ -68,26 +68,13 @@ Status FlattenOperator::SetTargetRate(double target_rate) {
   return Status::OK();
 }
 
-Status FlattenOperator::Push(const Tuple& tuple) {
-  CountIn();
-  if (config_.mode == FlattenMode::kOnline) {
-    return PushOnline(tuple);
-  }
-  buffer_.Append(tuple);
-  if (buffer_.size() >= config_.batch_size) {
-    return ProcessBufferedBatch();
-  }
-  return Status::OK();
-}
-
 Status FlattenOperator::PushBatch(TupleBatch& batch) {
   CountIn(batch.size());
   if (config_.mode == FlattenMode::kOnline) {
     return PushOnlineBatch(batch);
   }
-  // Column-copy the active rows into the estimation buffer, firing at
-  // exactly the buffer boundaries the per-tuple path fires at. The
-  // caller's storage is left in place (it may be shared across Partition
+  // Column-copy the active rows into the estimation buffer, firing each
+  // time it holds batch_size tuples. The caller's storage is left in place (it may be shared across Partition
   // ports). A batch that leaves the buffer short of batch_size holds no
   // firing boundary and is appended in one bulk copy.
   if (buffer_.size() + batch.size() < config_.batch_size) {
@@ -110,13 +97,6 @@ Status FlattenOperator::PushBatch(TupleBatch& batch) {
 Status FlattenOperator::Flush() {
   if (config_.mode == FlattenMode::kBatch && !buffer_.empty()) {
     return ProcessBufferedBatch();
-  }
-  return Status::OK();
-}
-
-Status FlattenOperator::Discard(const Tuple& tuple) {
-  if (discarded_ != nullptr) {
-    return discarded_->Push(tuple);
   }
   return Status::OK();
 }
@@ -274,14 +254,6 @@ Result<bool> FlattenOperator::OnlineStep(const geom::SpaceTimePoint& point) {
   }
 
   return rng_.Bernoulli(p);
-}
-
-Status FlattenOperator::PushOnline(const Tuple& tuple) {
-  CRAQR_ASSIGN_OR_RETURN(const bool keep, OnlineStep(tuple.point));
-  if (keep) {
-    return Emit(tuple);
-  }
-  return Discard(tuple);
 }
 
 void FlattenOperator::SaveState(StateWriter& w) const {

@@ -131,11 +131,10 @@ class FlattenOperator final : public Operator {
                                                        const FlattenConfig& config,
                                                        Rng rng);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: accumulates the incoming batch into the estimation
-  /// buffer with exactly the per-tuple firing boundaries (kBatch), or
-  /// runs one estimator/RNG sweep deselecting dropped tuples (kOnline).
+  /// Accumulates the incoming batch into the estimation buffer, firing
+  /// each time it reaches `batch_size` tuples wherever the incoming
+  /// batches are cut (kBatch), or runs one estimator/RNG sweep
+  /// deselecting dropped tuples (kOnline).
   /// Retained tuples leave as whole (selected) batches without being
   /// moved; discarded tuples reach the side output as one batch per
   /// firing.
@@ -200,15 +199,12 @@ class FlattenOperator final : public Operator {
   FlattenOperator(std::string name, const FlattenConfig& config, Rng rng);
 
   Status ProcessBufferedBatch();
-  Status PushOnline(const Tuple& tuple);
   Status PushOnlineBatch(TupleBatch& batch);
   /// Advances the online estimator with one observation point (warm-up,
   /// window report, retention draw) and returns whether the tuple is
-  /// retained. Shared by the per-tuple and batch paths so both draw
-  /// identically; takes only the point — the estimator never touches the
+  /// retained; takes only the point — the estimator never touches the
   /// other columns.
   Result<bool> OnlineStep(const geom::SpaceTimePoint& point);
-  Status Discard(const Tuple& tuple);
   void PublishReport(const FlattenBatchReport& report);
 
   FlattenConfig config_;

@@ -111,42 +111,13 @@ bool Operator::RemoveOutput(Operator* output) {
   return false;
 }
 
-Status Operator::Emit(const Tuple& tuple) {
-  ++stats_.tuples_out;
-  for (Operator* out : outputs_) {
-    CRAQR_RETURN_NOT_OK(out->Push(tuple));
-  }
-  return Status::OK();
-}
-
-Status Operator::EmitTo(std::size_t port, const Tuple& tuple) {
-  if (port >= outputs_.size()) {
-    return Status::OutOfRange("no operator connected to output port " +
-                              std::to_string(port) + " of " + name_);
-  }
-  ++stats_.tuples_out;
-  return outputs_[port]->Push(tuple);
-}
-
-Status Operator::PushBatch(TupleBatch& batch) {
-  // Fallback for operators that have not opted into batch execution: the
-  // per-tuple path, tuple by tuple in arrival order.
-  Status status = Status::OK();
-  batch.ForEach([this, &status](const Tuple& tuple) {
-    if (status.ok()) {
-      status = Push(tuple);
-    }
-  });
-  return status;
-}
-
 Status Operator::Emit(TupleBatch& batch) {
   stats_.tuples_out += batch.size();
   if (batch.empty() || outputs_.empty()) {
     return Status::OK();
   }
-  // Port order matches the per-tuple Emit; all but the last output
-  // receive a materialized copy, the last consumes the batch in place.
+  // Outputs are fed in port order; all but the last receive a
+  // materialized copy, the last consumes the batch in place.
   if (outputs_.size() > 1 && broadcast_scratch_ == nullptr) {
     broadcast_scratch_ = std::make_unique<TupleBatch>();
   }

@@ -20,13 +20,10 @@
 /// in the paper's terminology; the Partition operator routes each tuple to
 /// exactly one branch while every other operator broadcasts.
 ///
-/// Execution is batch-at-a-time on the hot path: the fabricator drives
-/// each cell topology through `PushBatch`, and batch-native operators
-/// forward whole `TupleBatch`es downstream (moving the batch when a single
-/// output consumes it). The tuple-at-a-time `Push` remains both as the
-/// fallback the base `PushBatch` uses — so operators opt in one at a time
-/// — and as the reference semantics: a batch-driven topology must deliver
-/// exactly the streams the per-tuple path delivers.
+/// Execution is batch-at-a-time: `PushBatch` is the one entry point, and
+/// every operator forwards whole `TupleBatch`es downstream (moving the
+/// batch when a single output consumes it). A caller holding single
+/// tuples wraps them in a batch (`TupleBatch::Append`).
 
 namespace craqr {
 namespace ops {
@@ -79,10 +76,7 @@ class Operator {
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;
 
-  /// Processes one incoming tuple, possibly emitting to outputs.
-  virtual Status Push(const Tuple& tuple) = 0;
-
-  /// \brief Processes a whole batch of tuples (the vectorized hot path).
+  /// \brief Processes a batch of tuples, possibly emitting to outputs.
   ///
   /// Contract:
   ///  - **consumption**: `batch` is consumed. The callee may deselect
@@ -97,22 +91,20 @@ class Operator {
   ///    tuple out is an ordinary copy with no heap traffic.
   ///  - **ordering**: active tuples arrive in stream order and
   ///    implementations process them — and in particular draw randomness
-  ///    — in that order, so batch execution delivers byte-for-byte the
-  ///    per-tuple stream along every downstream edge. When one operator
-  ///    consumes several upstream edges (two Partition branches, or a
-  ///    multi-cell query's merge head fed by several cell chains), the
-  ///    interleaving *across* edges is batch-grouped rather than
-  ///    per-tuple-interleaved: the consumer sees the same per-edge
-  ///    subsequences, so delivered tuple content is path-independent,
-  ///    but cross-edge order (and order-sensitive probes like the rate
-  ///    monitor's windows) can differ slightly between execution paths.
-  ///  - **counters**: implementations account `OperatorStats` exactly as
-  ///    the per-tuple path would (`CountIn(batch.size())` on entry; batch
-  ///    `Emit`/`EmitTo` add the emitted batch size to `tuples_out`).
-  ///  - **opt-in**: the base implementation falls back to per-tuple
-  ///    `Push`, so mixed chains of batch-native and per-tuple operators
-  ///    stay correct.
-  virtual Status PushBatch(TupleBatch& batch);
+  ///    — in that order, one tuple after another. An operator's output
+  ///    therefore depends only on the sequence of tuples it has received,
+  ///    not on how that sequence was cut into batches: buffering
+  ///    operators fire at the same tuple counts, and each emitted batch
+  ///    keeps arrival order. When one operator consumes several upstream
+  ///    edges (two Partition branches, or a multi-cell query's merge head
+  ///    fed by several cell chains), it sees each edge's subsequence in
+  ///    order, with the edges' batches interleaved in the order the
+  ///    producers emit them.
+  ///  - **counters**: `CountIn(batch.size())` on entry adds the active
+  ///    tuples to `tuples_in`; `Emit`/`EmitTo` add the emitted batch size
+  ///    to `tuples_out`. ValidateStatsConservation states what every kind
+  ///    keeps between the two.
+  virtual Status PushBatch(TupleBatch& batch) = 0;
 
   /// \brief Signals a batch boundary (request/response handler batches,
   /// paper Section V "Stream Fabrication"). Buffering operators release
@@ -162,31 +154,16 @@ class Operator {
   void RestoreStats(const OperatorStats& stats) { stats_ = stats; }
 
  protected:
-  /// Records an arrival; subclasses call this at the top of Push. Also
-  /// feeds the process-wide per-operator-kind dispatch metrics
+  /// Records `n` arrivals; subclasses call this at the top of PushBatch.
+  /// Also feeds the process-wide per-operator-kind dispatch metrics
   /// (craqr.ops.<Kind>.*) unless observability is compiled out
   /// (-DCRAQR_OBS_DISABLED) or disabled at runtime (obs::SetEnabled).
-  void CountIn() {
-    ++stats_.tuples_in;
-#ifndef CRAQR_OBS_DISABLED
-    RecordDispatch(1);
-#endif
-  }
-
-  /// Records `n` arrivals; batch-native subclasses call this at the top
-  /// of PushBatch.
   void CountIn(std::size_t n) {
     stats_.tuples_in += n;
 #ifndef CRAQR_OBS_DISABLED
     RecordDispatch(n);
 #endif
   }
-
-  /// Broadcasts a tuple to all outputs (counting it once as emitted).
-  Status Emit(const Tuple& tuple);
-
-  /// Sends a tuple to one output port only (Partition-style routing).
-  Status EmitTo(std::size_t port, const Tuple& tuple);
 
   /// \brief Broadcasts a batch to all outputs, counting `batch.size()`
   /// emitted tuples. Outputs are fed in port order; all but the last
@@ -215,9 +192,8 @@ class Operator {
 };
 
 /// \brief Per-operator throughput-counter conservation check, used by the
-/// fabricator invariant validators to assert the batch path accounts
-/// `tuples_in`/`tuples_out` exactly like the per-tuple path: forwarding
-/// operators (U, S, Id, Map, Mon) emit everything they receive, Partition
+/// fabricator invariant validators to assert every operator accounts
+/// `tuples_in`/`tuples_out` by its kind's rule: forwarding operators (U, S, Id, Map, Mon) emit everything they receive, Partition
 /// emits everything it does not count unrouted, a Sink emits nothing, and
 /// buffering or dropping operators (F, T, Sel, Ord) never emit more than
 /// they received (Ord holds tuples only between a push and the flush that

@@ -30,22 +30,6 @@ Result<std::unique_ptr<PartitionOperator>> PartitionOperator::Make(
       new PartitionOperator(std::move(name), std::move(regions)));
 }
 
-Status PartitionOperator::Push(const Tuple& tuple) {
-  CountIn();
-  for (std::size_t k = 0; k < regions_.size(); ++k) {
-    if (regions_[k].Contains(tuple.point.x, tuple.point.y)) {
-      if (k >= outputs().size()) {
-        // Branch not connected: the tuple's sub-region has no consumer.
-        ++unrouted_;
-        return Status::OK();
-      }
-      return EmitTo(k, tuple);
-    }
-  }
-  ++unrouted_;
-  return Status::OK();
-}
-
 Status PartitionOperator::PushBatch(TupleBatch& batch) {
   const std::size_t active = batch.size();
   CountIn(active);
@@ -60,8 +44,8 @@ Status PartitionOperator::PushBatch(TupleBatch& batch) {
   // byte mask per region (husk rows are masked too; they are never
   // gathered) — then one mask-compact pass per connected port builds the
   // per-port index lists. The ports share the batch's storage through
-  // adopted selections: no tuple is moved (or even materialized), and the
-  // per-row region-dispatch branch of the scalar path is gone. Regions
+  // adopted selections: no tuple is moved (or even materialized), and no
+  // per-row region-dispatch branch is taken. Regions
   // are pairwise disjoint, so a tuple lands in at most one port list and
   // everything not claimed by a connected port — outside every region, or
   // inside a region whose branch has no consumer — is unrouted.

@@ -34,9 +34,7 @@ class PartitionOperator final : public Operator {
   static Result<std::unique_ptr<PartitionOperator>> Make(
       std::string name, std::vector<geom::Rect> regions);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: one branch-free containment mask per connected region
+  /// One branch-free containment mask per connected region
   /// (Rect::ContainsMask over the raw point column) and one mask-compact
   /// pass per port build the per-port index lists, then every non-empty
   /// port receives the same batch storage with its list adopted as the

@@ -10,12 +10,6 @@ Result<std::unique_ptr<ReorderOperator>> ReorderOperator::Make(
   return std::unique_ptr<ReorderOperator>(new ReorderOperator(std::move(name)));
 }
 
-Status ReorderOperator::Push(const Tuple& tuple) {
-  CountIn();
-  buffer_.Append(tuple);
-  return Status::OK();
-}
-
 Status ReorderOperator::PushBatch(TupleBatch& batch) {
   CountIn(batch.size());
   buffer_.AppendActiveFrom(batch);

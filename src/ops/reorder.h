@@ -38,9 +38,7 @@ class ReorderOperator final : public Operator {
   /// Creates a reorder buffer.
   static Result<std::unique_ptr<ReorderOperator>> Make(std::string name);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: column-appends the active tuples to the step buffer.
+  /// Column-appends the active tuples to the step buffer.
   Status PushBatch(TupleBatch& batch) override;
 
   /// Sorts the buffered step by (t, id) and emits it as one batch.

@@ -40,22 +40,14 @@ Result<std::unique_ptr<ThinOperator>> ThinOperator::Make(std::string name,
       new ThinOperator(std::move(name), input_rate, output_rate, rng));
 }
 
-Status ThinOperator::Push(const Tuple& tuple) {
-  CountIn();
-  if (rng_.Bernoulli(retain_probability())) {
-    return Emit(tuple);
-  }
-  return Status::OK();
-}
-
 Status ThinOperator::PushBatch(TupleBatch& batch) {
   const std::size_t n = batch.size();
   CountIn(n);
   // Branch-free Bernoulli sweep: one batch mask fill (raw word vs the
   // shared precomputed threshold, no per-row branch) and one mask-compact
-  // selection rewrite. Draw order equals the per-tuple path's — both
-  // compare through Rng::BernoulliThreshold — so survivors are identical
-  // tuple for tuple. The mask buffer is recycled across batches.
+  // selection rewrite. One draw per active tuple in arrival order, so the
+  // survivors do not depend on where batches are cut. The mask buffer is
+  // recycled across batches.
   mask_.resize(n);
   rng_.FillBernoulliMask(retain_probability(), {mask_.data(), n});
   batch.RetainFromMask({mask_.data(), n});

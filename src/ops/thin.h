@@ -30,14 +30,11 @@ class ThinOperator final : public Operator {
                                                     double output_rate,
                                                     Rng rng);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: one branch-free Bernoulli mask fill
-  /// (Rng::FillBernoulliMask) plus one mask-compact selection rewrite
-  /// (TupleBatch::RetainFromMask) — no tuple is moved, no per-row branch
-  /// is taken — then a single downstream emit. Draw order equals the
-  /// per-tuple path's by construction (both compare raw words against
-  /// Rng::BernoulliThreshold).
+  /// One branch-free Bernoulli mask fill (Rng::FillBernoulliMask) plus
+  /// one mask-compact selection rewrite (TupleBatch::RetainFromMask) — no
+  /// tuple is moved, no per-row branch is taken — then a single
+  /// downstream emit. One draw per active tuple, in arrival order, each
+  /// compared against Rng::BernoulliThreshold.
   Status PushBatch(TupleBatch& batch) override;
 
   OperatorKind kind() const override { return OperatorKind::kThin; }

@@ -48,12 +48,12 @@
 ///
 /// Active-tuple order inside a batch is arrival order and is semantically
 /// significant: operators draw their randomness per tuple in this order,
-/// which is what keeps batch-driven topologies delivering exactly the
-/// streams the per-tuple path delivers.
+/// which is what makes a topology's output independent of where its
+/// input was cut into batches.
 ///
 /// `ops::Tuple` remains the materialized exchange struct for row-at-a-time
-/// boundaries (the per-tuple reference path, sinks, trace I/O): `RowAt`
-/// gathers one row, `Append`/`StoreRowAt` scatter one back.
+/// boundaries (producers, sinks, trace I/O, tests): `RowAt` gathers one
+/// row, `Append`/`StoreRowAt` scatter one back.
 
 namespace craqr {
 namespace ops {

@@ -108,12 +108,6 @@ bool UnionOperator::Covers(double x, double y) const {
   return covered_[j * (xs_.size() + 1) + i] != 0;
 }
 
-Status UnionOperator::Push(const Tuple& tuple) {
-  CountIn();
-  out_of_region_ += !Covers(tuple.point.x, tuple.point.y);
-  return Emit(tuple);
-}
-
 Status UnionOperator::PushBatch(TupleBatch& batch) {
   CountIn(batch.size());
   // One coverage lookup per active row; husk rows are never visited.

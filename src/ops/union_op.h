@@ -37,9 +37,7 @@ class UnionOperator final : public Operator {
   static Result<std::unique_ptr<UnionOperator>> Make(
       std::string name, std::vector<geom::Rect> input_regions);
 
-  Status Push(const Tuple& tuple) override;
-
-  /// Batch-native: one coverage-table lookup per active row for the
+  /// One coverage-table lookup per active row for the
   /// out-of-region diagnostic, then the whole batch is forwarded in a
   /// single emit.
   Status PushBatch(TupleBatch& batch) override;

@@ -115,14 +115,6 @@ class Shard {
   /// router enforces this globally).
   Status EnqueueBatch(ops::TupleBatch batch, std::uint64_t epoch = 0);
 
-  /// Convenience overload scattering a tuple vector into fresh columns
-  /// (one pass, copies; tests and tools only — the hot path hands over
-  /// TupleBatches directly).
-  Status EnqueueBatch(const std::vector<ops::Tuple>& batch,
-                      std::uint64_t epoch = 0) {
-    return EnqueueBatch(ops::TupleBatch(batch), epoch);
-  }
-
   /// \brief Non-blocking enqueue for credit-based admission: never applies
   /// back-pressure. ResourceExhausted when the queue is full (the caller
   /// decides whether to spool, drop or reject the batch),

@@ -312,13 +312,6 @@ void ShardedFabricator::ReplayViolationsAndUnlock(
   }
 }
 
-Status ShardedFabricator::EnqueueBatchLocked(
-    const std::vector<ops::Tuple>& batch, std::uint64_t epoch) {
-  // Convenience path (tests, benches): one scatter, then the hot overload.
-  ops::TupleBatch columns(batch);
-  return EnqueueBatchLocked(columns, epoch);
-}
-
 Status ShardedFabricator::EnqueueBatchLocked(ops::TupleBatch& batch,
                                              std::uint64_t epoch) {
   if (epoch < 1 || epoch <= last_enqueued_epoch_) {
@@ -474,11 +467,6 @@ Status ShardedFabricator::EnqueueSubBatchesLocked(
   return Status::OK();
 }
 
-Status ShardedFabricator::EnqueueBatch(const std::vector<ops::Tuple>& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return EnqueueBatchLocked(batch, last_enqueued_epoch_ + 1);
-}
-
 Status ShardedFabricator::EnqueueBatch(ops::TupleBatch& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   return EnqueueBatchLocked(batch, last_enqueued_epoch_ + 1);
@@ -488,19 +476,6 @@ Status ShardedFabricator::EnqueueBatch(ops::TupleBatch& batch,
                                        std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   return EnqueueBatchLocked(batch, epoch);
-}
-
-Status ShardedFabricator::ProcessBatch(const std::vector<ops::Tuple>& batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const Status status = [&]() -> Status {
-    CRAQR_RETURN_NOT_OK(EnqueueBatchLocked(batch, last_enqueued_epoch_ + 1));
-    CRAQR_RETURN_NOT_OK(BarrierLocked());
-    CRAQR_RETURN_NOT_OK(CollectLocked());
-    // Epoch boundary: the site the "runtime.shard_crash" fault targets.
-    return MaybeInjectCrashLocked();
-  }();
-  ReplayViolationsAndUnlock(lock);
-  return status;
 }
 
 Status ShardedFabricator::ProcessBatch(ops::TupleBatch& batch) {
@@ -1338,8 +1313,7 @@ Status ShardedFabricator::ValidateInvariants() const {
       }
     }
     // Counter conservation across batch emits, cross-shard edition: every
-    // merge-stage operator accounts tuples_in/out exactly like the
-    // per-tuple path...
+    // merge-stage operator accounts tuples_in/out by its kind's rule...
     for (const auto& op : qs.merge_pipeline.operators()) {
       CRAQR_RETURN_NOT_OK(ops::ValidateStatsConservation(*op));
     }

@@ -284,9 +284,6 @@ class ShardedFabricator {
   /// StreamFabricator::ProcessBatch. The batch is consumed.
   Status ProcessBatch(ops::TupleBatch& batch);
 
-  /// Copying convenience overload of the batch-native ProcessBatch.
-  Status ProcessBatch(const std::vector<ops::Tuple>& batch);
-
   /// \brief Pipelined variant: partitions and enqueues without waiting.
   /// Deliveries accumulate in shard outboxes until the next Drain() /
   /// DrainThrough() / ProcessBatch(). Back-pressure applies when a shard
@@ -300,9 +297,6 @@ class ShardedFabricator {
   /// across drains); it is the unit DrainThrough() waits on and the grain
   /// violation replay is held to.
   Status EnqueueBatch(ops::TupleBatch& batch, std::uint64_t epoch);
-
-  /// Copying convenience overload of the batch-native EnqueueBatch.
-  Status EnqueueBatch(const std::vector<ops::Tuple>& batch);
 
   /// Waits for all queued work and flushes deliveries into query sinks.
   /// Violation replay honours the current epoch horizon (see
@@ -526,8 +520,6 @@ class ShardedFabricator {
   ShardedFabricator(const geom::Grid& grid, const ShardedConfig& config)
       : grid_(grid), config_(config) {}
 
-  Status EnqueueBatchLocked(const std::vector<ops::Tuple>& batch,
-                            std::uint64_t epoch);
   Status EnqueueBatchLocked(ops::TupleBatch& batch, std::uint64_t epoch);
   Status EnqueueSubBatchesLocked(std::vector<ops::TupleBatch>& sub,
                                  std::uint64_t epoch);

@@ -102,11 +102,5 @@ Status RequestResponseHandler::Step(double now, ops::TupleBatch* out) {
   return Status::OK();
 }
 
-Result<std::vector<ops::Tuple>> RequestResponseHandler::Step(double now) {
-  ops::TupleBatch batch;
-  CRAQR_RETURN_NOT_OK(Step(now, &batch));
-  return batch.ToTuples();
-}
-
 }  // namespace server
 }  // namespace craqr

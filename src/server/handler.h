@@ -71,9 +71,6 @@ class RequestResponseHandler {
   /// execution modes at every dispatch point.
   Status Step(double now, ops::TupleBatch* out);
 
-  /// Row-vector convenience overload (tests, trace tooling).
-  Result<std::vector<ops::Tuple>> Step(double now);
-
   /// Sets the incentive offered on future requests for one attribute
   /// (Section VI incentive extension).
   void SetIncentive(ops::AttributeId attribute, double incentive);

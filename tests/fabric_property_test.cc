@@ -74,12 +74,12 @@ TEST_P(FabricChurnTest, InvariantsHoldUnderRandomChurn) {
                                        geom::Rect(0, 0, 6, 6)};
       const auto points =
           pp::SimulateHomogeneous(&rng, 20.0, window).MoveValue();
-      std::vector<ops::Tuple> batch;
+      ops::TupleBatch batch;
       for (const auto& p : points) {
         ops::Tuple tuple;
         tuple.point = p;
         tuple.attribute = rng.Bernoulli(0.5) ? kAttrA : kAttrB;
-        batch.push_back(tuple);
+        batch.Append(tuple);
       }
       ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
       ASSERT_TRUE(fabricator->ValidateInvariants().ok());
@@ -153,12 +153,12 @@ TEST(FabricPropertyTest, TupleConservationThroughSharedChain) {
   Rng rng(99);
   const pp::SpaceTimeWindow window{0.0, 60.0, geom::Rect(0, 0, 2, 2)};
   const auto points = pp::SimulateHomogeneous(&rng, 30.0, window).MoveValue();
-  std::vector<ops::Tuple> batch;
+  ops::TupleBatch batch;
   for (const auto& p : points) {
     ops::Tuple tuple;
     tuple.point = p;
     tuple.attribute = kAttrA;
-    batch.push_back(tuple);
+    batch.Append(tuple);
   }
   ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
 

@@ -71,6 +71,14 @@ std::vector<std::vector<ops::Tuple>> MakeBatches(std::size_t num_batches,
   return out;
 }
 
+/// Processes a copy of `tuples` as one batch (recorded batches are
+/// replayed into several fabricators).
+template <typename Fab>
+Status ProcessCopy(Fab* fab, const std::vector<ops::Tuple>& tuples) {
+  ops::TupleBatch batch(tuples);
+  return fab->ProcessBatch(batch);
+}
+
 /// Order-sensitive FNV-1a fold over the delivered tuples' identity fields
 /// (same fold as runtime_checkpoint_test.cc).
 std::uint64_t StreamDigest(const std::vector<ops::Tuple>& tuples) {
@@ -121,7 +129,7 @@ TEST(FabricSharingTest, RefCountConservationOnCancel) {
   EXPECT_EQ(census_total, shared_at_peak);
 
   const auto batches = MakeBatches(8, 64, 0x10DE);
-  ASSERT_TRUE(fab->ProcessBatch(batches[0]).ok());
+  ASSERT_TRUE(ProcessCopy(fab.get(), batches[0]).ok());
 
   // Cancel sharers one at a time: invariants (including splitter fan-out
   // == ref count) hold at every intermediate population, detach events
@@ -133,7 +141,7 @@ TEST(FabricSharingTest, RefCountConservationOnCancel) {
     EXPECT_GT(fab->taps_detached(), detached_before);
     detached_before = fab->taps_detached();
     if (i + 1 < sharers.size()) {
-      ASSERT_TRUE(fab->ProcessBatch(batches[i + 1]).ok());
+      ASSERT_TRUE(ProcessCopy(fab.get(), batches[i + 1]).ok());
     }
   }
   EXPECT_EQ(fab->SharedStagesLive(), 0u);
@@ -164,7 +172,7 @@ TEST(FabricSharingTest, CancelSharedMidRunKeepsSurvivorsByteExact) {
         EXPECT_TRUE(fab->RemoveQuery(shared_streams[1].id).ok());
         EXPECT_TRUE(fab->ValidateInvariants().ok());
       }
-      EXPECT_TRUE(fab->ProcessBatch(batches[b]).ok());
+      EXPECT_TRUE(ProcessCopy(fab.get(), batches[b]).ok());
     }
     std::vector<std::uint64_t> digests;
     digests.push_back(StreamDigest(shared_streams[0].sink->tuples()));
@@ -191,7 +199,7 @@ TEST(FabricSharingTest, RouteLutChurnPatchesInsteadOfRebuilding) {
   const auto batches = MakeBatches(64, 32, 0x10DE);
   std::size_t next_batch = 0;
   auto pump = [&] {
-    ASSERT_TRUE(fab->ProcessBatch(batches[next_batch]).ok());
+    ASSERT_TRUE(ProcessCopy(fab.get(), batches[next_batch]).ok());
     next_batch = (next_batch + 1) % batches.size();
   };
   ASSERT_TRUE(
@@ -381,7 +389,7 @@ TEST(FabricSharingTest, ShardedStatsCarrySharingCensus) {
   }
   const auto batches = MakeBatches(4, 64, 0xCAFE);
   for (const auto& batch : batches) {
-    ASSERT_TRUE(fab->ProcessBatch(batch).ok());
+    ASSERT_TRUE(ProcessCopy(fab.get(), batch).ok());
   }
   const auto stats = fab->TrySnapshot();
   ASSERT_TRUE(stats.ok());

@@ -149,19 +149,43 @@ TEST(FabricatorTest, PartialOverlapCreatesPartition) {
   EXPECT_EQ(partitions, 1u);
 }
 
-TEST(FabricatorTest, ProcessTupleRoutesOnlyMaterializedCells) {
+TEST(FabricatorTest, WholeGridQueryIsAcceptedOnEveryGrid) {
+  // Regions whose cell width is not a power-of-two fraction: adjacent
+  // cell rectangles must share their seams exactly, or the query's U
+  // rejects its own cells as overlapping.
+  for (const geom::Rect& region :
+       {geom::Rect(0.1, 0.3, 1.0, 1.7), geom::Rect(0.1, 0.1, 0.7, 0.7)}) {
+    SCOPED_TRACE(region.ToString());
+    auto fabricator =
+        StreamFabricator::Make(geom::Grid::Make(region, 16).MoveValue())
+            .MoveValue();
+    const auto stream = fabricator->InsertQuery(kRain, region, 1.0);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    EXPECT_EQ(fabricator->NumMaterializedCells(), 16u);
+    EXPECT_TRUE(fabricator->ValidateInvariants().ok());
+  }
+}
+
+TEST(FabricatorTest, ProcessBatchRoutesOnlyMaterializedCells) {
   auto fabricator = MakeFabricator();
   ASSERT_TRUE(fabricator->InsertQuery(kRain, geom::Rect(1, 1, 2, 2), 2.0).ok());
+  // One-row batches, so each arrival's routing shows on its own.
+  const auto process = [&fabricator](const ops::Tuple& tuple) {
+    ops::TupleBatch batch;
+    batch.Append(tuple);
+    return fabricator->ProcessBatch(batch);
+  };
   // In the materialized cell, right attribute.
-  ASSERT_TRUE(fabricator->ProcessTuple(TupleAt(0.0, 1.5, 1.5, kRain)).ok());
+  ASSERT_TRUE(process(TupleAt(0.0, 1.5, 1.5, kRain)).ok());
   EXPECT_EQ(fabricator->tuples_routed(), 1u);
   // Wrong attribute: dropped.
-  ASSERT_TRUE(fabricator->ProcessTuple(TupleAt(0.0, 1.5, 1.5, kTemp)).ok());
+  ASSERT_TRUE(process(TupleAt(0.0, 1.5, 1.5, kTemp)).ok());
   // Unmaterialized cell: dropped.
-  ASSERT_TRUE(fabricator->ProcessTuple(TupleAt(0.0, 0.5, 0.5, kRain)).ok());
+  ASSERT_TRUE(process(TupleAt(0.0, 0.5, 0.5, kRain)).ok());
   // Outside the grid: dropped.
-  ASSERT_TRUE(fabricator->ProcessTuple(TupleAt(0.0, 50.0, 50.0, kRain)).ok());
+  ASSERT_TRUE(process(TupleAt(0.0, 50.0, 50.0, kRain)).ok());
   EXPECT_EQ(fabricator->tuples_unrouted(), 3u);
+  EXPECT_EQ(fabricator->tuples_routed(), 1u);
 }
 
 TEST(FabricatorTest, FabricatedStreamApproximatesRequestedRate) {
@@ -178,9 +202,9 @@ TEST(FabricatorTest, FabricatedStreamApproximatesRequestedRate) {
   const pp::SpaceTimeWindow w{0.0, 40.0, geom::Rect(0, 0, 3, 3)};
   const auto supply = pp::SimulateHomogeneous(&rng, 20.0, w);
   ASSERT_TRUE(supply.ok());
-  std::vector<ops::Tuple> batch;
+  ops::TupleBatch batch;
   for (const auto& p : *supply) {
-    batch.push_back(TupleAt(p.t, p.x, p.y, kRain));
+    batch.Append(TupleAt(p.t, p.x, p.y, kRain));
   }
   ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
 
@@ -216,13 +240,13 @@ TEST(FabricatorTest, RemoveMiddleQueryMergesThins) {
   EXPECT_EQ(description.find("T(->6)"), std::string::npos);
   EXPECT_LT(description.find("T(->9)"), description.find("T(->3)"));
   // The other two queries keep flowing end to end.
-  std::vector<ops::Tuple> batch;
+  ops::TupleBatch batch;
   Rng rng(72);
   const pp::SpaceTimeWindow w{0.0, 30.0, geom::Rect(0, 0, 1, 1)};
   const auto supply = pp::SimulateHomogeneous(&rng, 40.0, w);
   ASSERT_TRUE(supply.ok());
   for (const auto& p : *supply) {
-    batch.push_back(TupleAt(p.t, p.x, p.y, kRain));
+    batch.Append(TupleAt(p.t, p.x, p.y, kRain));
   }
   ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
   EXPECT_GT(fast->sink->total_received(), 0u);
@@ -258,10 +282,10 @@ TEST(FabricatorTest, ViolationCallbackFires) {
         EXPECT_GT(report.violation_percent, 50.0);
         ++callbacks;
       });
-  std::vector<ops::Tuple> batch;
+  ops::TupleBatch batch;
   Rng rng(73);
   for (int i = 0; i < 64; ++i) {
-    batch.push_back(TupleAt(i * 0.1, rng.Uniform(0.0, 1.0),
+    batch.Append(TupleAt(i * 0.1, rng.Uniform(0.0, 1.0),
                             rng.Uniform(0.0, 1.0), kRain));
   }
   ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
@@ -369,14 +393,14 @@ void RunAttributeWorkload(ops::FlattenMode mode, bool seventeenth,
       streams[1] = *moved;
       streams.push_back(*moved);
     }
-    std::vector<ops::Tuple> batch;
+    ops::TupleBatch batch;
     for (int i = 0; i < 720; ++i) {
       ops::Tuple tuple = TupleAt(step + i / 720.0, rng.Uniform(-0.2, 3.2),
                                  rng.Uniform(-0.2, 3.2),
                                  static_cast<ops::AttributeId>(i % 18));
       tuple.id = id++;
       tuple.value = ops::PayloadRef::Double(rng.Uniform(0.0, 30.0));
-      batch.push_back(tuple);
+      batch.Append(tuple);
     }
     ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
   }

@@ -44,6 +44,28 @@ TEST(GridTest, CellRectsTileTheRegion) {
   EXPECT_NEAR(total, grid.region().Area(), 1e-9);
 }
 
+TEST(GridTest, AdjacentCellEdgesAreBitEqual) {
+  // Cell widths here are not exact binary fractions, so an edge computed
+  // as x0 + w can land an ulp off the neighbour's x_min + (q + 1) * w.
+  for (const Rect& region :
+       {Rect(0.1, 0.3, 1.0, 1.7), Rect(0.1, 0.1, 0.7, 0.7)}) {
+    SCOPED_TRACE(region.ToString());
+    const Grid grid = Grid::Make(region, 16).MoveValue();
+    const std::uint32_t side = grid.CellsPerSide();
+    for (std::uint32_t q = 0; q < side; ++q) {
+      for (std::uint32_t r = 0; r < side; ++r) {
+        const Rect cell = grid.CellRect(CellIndex{q, r});
+        if (q + 1 < side) {
+          EXPECT_EQ(cell.x_max(), grid.CellRect(CellIndex{q + 1, r}).x_min());
+        }
+        if (r + 1 < side) {
+          EXPECT_EQ(cell.y_max(), grid.CellRect(CellIndex{q, r + 1}).y_min());
+        }
+      }
+    }
+  }
+}
+
 TEST(GridTest, CellContainingRoundTrips) {
   const Grid grid = MakeGrid(3.0, 9);
   const auto cell = grid.CellContaining(1.5, 2.5);

@@ -178,8 +178,9 @@ TEST(IntegrationTest, EngineOverTraceReplay) {
   for (const auto& cell : fabricator->QueryCells(stream.id).MoveValue()) {
     ASSERT_TRUE(handler.Subscribe(0, cell).ok());
   }
+  ops::TupleBatch batch;
   for (int minute = 1; minute <= 40; ++minute) {
-    const auto batch = handler.Step(minute).MoveValue();
+    ASSERT_TRUE(handler.Step(minute, &batch).ok());
     ASSERT_TRUE(fabricator->ProcessBatch(batch).ok());
   }
   EXPECT_GT(stream.sink->total_received(), 100u);

@@ -222,7 +222,8 @@ TEST(MemoryGovernanceTest, WorkloadFloodBoundedOnVsLinearOff) {
       bench::WorkloadConfig per = wc;
       per.value_pool = target == &on ? &pool_on : &pool_off;
       bench::WorkloadGenerator gen(per);
-      for (const auto& batch : gen.MakeBatches()) {
+      for (const auto& tuples : gen.MakeBatches()) {
+        ops::TupleBatch batch(tuples);
         ASSERT_TRUE(target->fab->ProcessBatch(batch).ok());
       }
     }
@@ -282,7 +283,7 @@ TEST(MemoryGovernanceTest, CheckpointRestoreSpansGenerationRetirement) {
   std::uint64_t next = 1;
   auto make_batch = [](Rng* rng, double* t, std::uint64_t first,
                        ops::ValuePool* p) {
-    std::vector<ops::Tuple> batch;
+    ops::TupleBatch batch;
     for (std::size_t i = 0; i < 96; ++i) {
       ops::Tuple tuple;
       tuple.id = first + i;
@@ -291,18 +292,16 @@ TEST(MemoryGovernanceTest, CheckpointRestoreSpansGenerationRetirement) {
       tuple.point = geom::SpaceTimePoint{*t, rng->Uniform(0.0, 4.0),
                                          rng->Uniform(0.0, 4.0)};
       tuple.value = ops::PayloadRef::String(UniqueString(first + i), *p);
-      batch.push_back(tuple);
+      batch.Append(tuple);
     }
     return batch;
   };
 
   for (std::size_t round = 0; round < 12; ++round) {
-    ASSERT_TRUE(
-        governed.fab->ProcessBatch(make_batch(&rng_a, &t_a, next, &pool))
-            .ok());
-    ASSERT_TRUE(
-        twin.fab->ProcessBatch(make_batch(&rng_b, &t_b, next, &twin_pool))
-            .ok());
+    ops::TupleBatch governed_batch = make_batch(&rng_a, &t_a, next, &pool);
+    ASSERT_TRUE(governed.fab->ProcessBatch(governed_batch).ok());
+    ops::TupleBatch twin_batch = make_batch(&rng_b, &t_b, next, &twin_pool);
+    ASSERT_TRUE(twin.fab->ProcessBatch(twin_batch).ok());
     next += 96;
     if (round == 3) {
       ASSERT_TRUE(governed.fab->Checkpoint().ok());
@@ -455,7 +454,7 @@ TEST(MemoryGovernanceTest, HardPressureDegradesAndRecovers) {
   double t = 0.0;
   std::uint64_t next = 1;
   auto feed = [&]() {
-    std::vector<ops::Tuple> batch;
+    ops::TupleBatch batch;
     for (std::size_t i = 0; i < 64; ++i) {
       ops::Tuple tuple;
       tuple.id = next++;
@@ -463,7 +462,7 @@ TEST(MemoryGovernanceTest, HardPressureDegradesAndRecovers) {
       t += 0.002;
       tuple.point = geom::SpaceTimePoint{t, rng.Uniform(0.0, 4.0),
                                          rng.Uniform(0.0, 4.0)};
-      batch.push_back(tuple);
+      batch.Append(tuple);
     }
     ASSERT_TRUE(fab->ProcessBatch(batch).ok());
   };

@@ -322,7 +322,7 @@ void RunGoldenWorkload(Fab* fab, std::vector<StreamTrace>* out) {
   std::uint64_t next_id = 1;
   auto pump = [&](std::size_t batches) {
     for (std::size_t b = 0; b < batches; ++b) {
-      auto batch = MakeValuedBatch(&rng, &t, 96, next_id);
+      ops::TupleBatch batch(MakeValuedBatch(&rng, &t, 96, next_id));
       next_id += batch.size();
       ASSERT_TRUE(fab->ProcessBatch(batch).ok());
     }

@@ -13,6 +13,13 @@ Tuple TupleAt(double t, double x, double y, double value = 0.0) {
   return tuple;
 }
 
+/// Pushes one tuple as a one-row batch, so every arrival is its own push.
+Status PushOne(Operator& op, const Tuple& tuple) {
+  TupleBatch batch;
+  batch.Append(tuple);
+  return op.PushBatch(batch);
+}
+
 TEST(SuperposeTest, MergesMultipleUpstreams) {
   auto superpose = SuperposeOperator::Make("s").MoveValue();
   auto sink = SinkOperator::Make("sink").MoveValue();
@@ -22,8 +29,8 @@ TEST(SuperposeTest, MergesMultipleUpstreams) {
   auto up2 = PassThroughOperator::Make("u2").MoveValue();
   up1->AddOutput(superpose.get());
   up2->AddOutput(superpose.get());
-  ASSERT_TRUE(up1->Push(TupleAt(1, 0, 0)).ok());
-  ASSERT_TRUE(up2->Push(TupleAt(2, 0, 0)).ok());
+  ASSERT_TRUE(PushOne(*up1, TupleAt(1, 0, 0)).ok());
+  ASSERT_TRUE(PushOne(*up2, TupleAt(2, 0, 0)).ok());
   EXPECT_EQ(sink->tuples().size(), 2u);
   EXPECT_EQ(superpose->kind(), OperatorKind::kSuperpose);
 }
@@ -38,9 +45,9 @@ TEST(FilterTest, DropsNonMatchingTuples) {
                 }).MoveValue();
   auto sink = SinkOperator::Make("sink").MoveValue();
   filter->AddOutput(sink.get());
-  ASSERT_TRUE(filter->Push(TupleAt(0, 0, 0, 5.0)).ok());
-  ASSERT_TRUE(filter->Push(TupleAt(1, 0, 0, 15.0)).ok());
-  ASSERT_TRUE(filter->Push(TupleAt(2, 0, 0, 25.0)).ok());
+  ASSERT_TRUE(PushOne(*filter, TupleAt(0, 0, 0, 5.0)).ok());
+  ASSERT_TRUE(PushOne(*filter, TupleAt(1, 0, 0, 15.0)).ok());
+  ASSERT_TRUE(PushOne(*filter, TupleAt(2, 0, 0, 25.0)).ok());
   ASSERT_EQ(sink->tuples().size(), 2u);
   EXPECT_EQ(filter->stats().tuples_in, 3u);
   EXPECT_EQ(filter->stats().tuples_out, 2u);
@@ -58,7 +65,7 @@ TEST(MapTest, TransformsValues) {
              }).MoveValue();
   auto sink = SinkOperator::Make("sink").MoveValue();
   map->AddOutput(sink.get());
-  ASSERT_TRUE(map->Push(TupleAt(0, 0, 0, 21.0)).ok());
+  ASSERT_TRUE(PushOne(*map, TupleAt(0, 0, 0, 21.0)).ok());
   ASSERT_EQ(sink->tuples().size(), 1u);
   EXPECT_DOUBLE_EQ(sink->tuples()[0].value.AsDouble(), 42.0);
 }
@@ -75,7 +82,7 @@ TEST(RateMonitorTest, MeasuresWindowedRate) {
   for (int window = 0; window < 5; ++window) {
     for (int i = 0; i < 8; ++i) {
       const double t = window * 2.0 + i * 0.25;
-      ASSERT_TRUE(monitor->Push(TupleAt(t, 0, 0)).ok());
+      ASSERT_TRUE(PushOne(*monitor, TupleAt(t, 0, 0)).ok());
     }
   }
   monitor->CloseCurrentWindow();
@@ -87,23 +94,23 @@ TEST(RateMonitorTest, ForwardsTuplesUnchanged) {
   auto monitor = RateMonitorOperator::Make("m", 1.0, 1.0).MoveValue();
   auto sink = SinkOperator::Make("sink").MoveValue();
   monitor->AddOutput(sink.get());
-  ASSERT_TRUE(monitor->Push(TupleAt(0.5, 1, 2, 3.0)).ok());
+  ASSERT_TRUE(PushOne(*monitor, TupleAt(0.5, 1, 2, 3.0)).ok());
   ASSERT_EQ(sink->tuples().size(), 1u);
   EXPECT_DOUBLE_EQ(sink->tuples()[0].point.x, 1.0);
 }
 
 TEST(RateMonitorTest, HandlesQuietGaps) {
   auto monitor = RateMonitorOperator::Make("m", 1.0, 1.0).MoveValue();
-  ASSERT_TRUE(monitor->Push(TupleAt(0.5, 0, 0)).ok());
+  ASSERT_TRUE(PushOne(*monitor, TupleAt(0.5, 0, 0)).ok());
   // Long silence: intermediate empty windows are closed at zero count.
-  ASSERT_TRUE(monitor->Push(TupleAt(5.5, 0, 0)).ok());
+  ASSERT_TRUE(PushOne(*monitor, TupleAt(5.5, 0, 0)).ok());
   monitor->CloseCurrentWindow();
   EXPECT_GE(monitor->window_rates().count(), 5u);
   EXPECT_DOUBLE_EQ(monitor->window_rates().Min(), 0.0);
 
   // Batch-boundary flushes never close event-time windows.
   auto monitor2 = RateMonitorOperator::Make("m2", 10.0, 1.0).MoveValue();
-  ASSERT_TRUE(monitor2->Push(TupleAt(0.5, 0, 0)).ok());
+  ASSERT_TRUE(PushOne(*monitor2, TupleAt(0.5, 0, 0)).ok());
   ASSERT_TRUE(monitor2->Flush().ok());
   ASSERT_TRUE(monitor2->Flush().ok());
   EXPECT_EQ(monitor2->window_rates().count(), 0u);
@@ -114,21 +121,23 @@ TEST(SinkTest, ValidatesCapacity) {
 }
 
 TEST(SinkTest, CallbackSeesEveryTuple) {
-  int count = 0;
-  auto sink = SinkOperator::Make("s", 16, [&count](const Tuple&) {
-                ++count;
+  std::size_t count = 0;
+  auto sink = SinkOperator::MakeBatched("s", [&count](const TupleBatch& batch) {
+                count += batch.size();
               }).MoveValue();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(sink->Push(TupleAt(i, 0, 0)).ok());
+    ASSERT_TRUE(PushOne(*sink, TupleAt(i, 0, 0)).ok());
   }
-  EXPECT_EQ(count, 10);
+  EXPECT_EQ(count, 10u);
   EXPECT_EQ(sink->total_received(), 10u);
+  // A delivery-only sink forwards; it retains nothing.
+  EXPECT_TRUE(sink->tuples().empty());
 }
 
 TEST(SinkTest, EvictsOldestWhenFull) {
   auto sink = SinkOperator::Make("s", 8).MoveValue();
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(sink->Push(TupleAt(i, 0, 0)).ok());
+    ASSERT_TRUE(PushOne(*sink, TupleAt(i, 0, 0)).ok());
   }
   EXPECT_LE(sink->tuples().size(), 8u);
   EXPECT_EQ(sink->total_received(), 40u);
@@ -138,7 +147,7 @@ TEST(SinkTest, EvictsOldestWhenFull) {
 
 TEST(SinkTest, ClearKeepsCounters) {
   auto sink = SinkOperator::Make("s").MoveValue();
-  ASSERT_TRUE(sink->Push(TupleAt(0, 0, 0)).ok());
+  ASSERT_TRUE(PushOne(*sink, TupleAt(0, 0, 0)).ok());
   sink->Clear();
   EXPECT_TRUE(sink->tuples().empty());
   EXPECT_EQ(sink->total_received(), 1u);
@@ -149,7 +158,7 @@ TEST(PassThroughTest, ForwardsEverything) {
   auto sink = SinkOperator::Make("sink").MoveValue();
   pass->AddOutput(sink.get());
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(pass->Push(TupleAt(i, 0, 0)).ok());
+    ASSERT_TRUE(PushOne(*pass, TupleAt(i, 0, 0)).ok());
   }
   EXPECT_EQ(sink->tuples().size(), 7u);
   EXPECT_EQ(pass->kind(), OperatorKind::kPassThrough);

@@ -16,6 +16,13 @@ Tuple MakeTuple(double t, double x, double y, AttributeId attribute = 0) {
   return tuple;
 }
 
+/// Pushes one tuple as a one-row batch, so every arrival is its own push.
+Status PushOne(Operator& op, const Tuple& tuple) {
+  TupleBatch batch;
+  batch.Append(tuple);
+  return op.PushBatch(batch);
+}
+
 TEST(OperatorTest, KindLabels) {
   EXPECT_STREQ(OperatorKindLabel(OperatorKind::kFlatten), "F");
   EXPECT_STREQ(OperatorKindLabel(OperatorKind::kThin), "T");
@@ -43,7 +50,7 @@ TEST(OperatorTest, EmitBroadcastsToAllOutputs) {
   auto sink2 = SinkOperator::Make("s2").MoveValue();
   src->AddOutput(sink1.get());
   src->AddOutput(sink2.get());
-  ASSERT_TRUE(src->Push(MakeTuple(1.0, 0.0, 0.0)).ok());
+  ASSERT_TRUE(PushOne(*src, MakeTuple(1.0, 0.0, 0.0)).ok());
   EXPECT_EQ(sink1->tuples().size(), 1u);
   EXPECT_EQ(sink2->tuples().size(), 1u);
   EXPECT_EQ(src->stats().tuples_in, 1u);
@@ -52,7 +59,7 @@ TEST(OperatorTest, EmitBroadcastsToAllOutputs) {
 
 TEST(OperatorTest, StatsResetClearsCounters) {
   auto src = PassThroughOperator::Make("src").MoveValue();
-  ASSERT_TRUE(src->Push(MakeTuple(1.0, 0.0, 0.0)).ok());
+  ASSERT_TRUE(PushOne(*src, MakeTuple(1.0, 0.0, 0.0)).ok());
   EXPECT_EQ(src->stats().tuples_in, 1u);
   src->ResetStats();
   EXPECT_EQ(src->stats().tuples_in, 0u);
@@ -74,8 +81,8 @@ TEST(PipelineTest, OwnsOperatorsAndCountsEvaluations) {
   auto* b = pipeline.Add(SinkOperator::Make("b").MoveValue());
   Pipeline::Connect(a, b);
   EXPECT_EQ(pipeline.size(), 2u);
-  ASSERT_TRUE(a->Push(MakeTuple(0.0, 0.0, 0.0)).ok());
-  ASSERT_TRUE(a->Push(MakeTuple(1.0, 0.0, 0.0)).ok());
+  ASSERT_TRUE(PushOne(*a, MakeTuple(0.0, 0.0, 0.0)).ok());
+  ASSERT_TRUE(PushOne(*a, MakeTuple(1.0, 0.0, 0.0)).ok());
   // a sees 2, b sees 2 -> 4 evaluations.
   EXPECT_EQ(pipeline.TotalOperatorEvaluations(), 4u);
 }
@@ -107,7 +114,7 @@ TEST(PipelineTest, FlushAllReachesEveryOperator) {
   Pipeline pipeline;
   auto* monitor = pipeline.Add(
       RateMonitorOperator::Make("mon", 1.0, 1.0).MoveValue());
-  ASSERT_TRUE(monitor->Push(MakeTuple(0.5, 0.0, 0.0)).ok());
+  ASSERT_TRUE(PushOne(*monitor, MakeTuple(0.5, 0.0, 0.0)).ok());
   ASSERT_TRUE(pipeline.FlushAll().ok());
   EXPECT_EQ(monitor->window_rates().count(), 0u);
   monitor->CloseCurrentWindow();

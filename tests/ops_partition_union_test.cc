@@ -18,6 +18,23 @@ Tuple TupleAt(const geom::SpaceTimePoint& p) {
   return tuple;
 }
 
+/// Pushes one tuple as a one-row batch, so every arrival is its own push.
+Status PushOne(Operator& op, const Tuple& tuple) {
+  TupleBatch batch;
+  batch.Append(tuple);
+  return op.PushBatch(batch);
+}
+
+/// Pushes a point stream as one batch, in arrival order.
+Status PushPoints(Operator& op,
+                  const std::vector<geom::SpaceTimePoint>& points) {
+  TupleBatch batch;
+  for (const auto& p : points) {
+    batch.Append(TupleAt(p));
+  }
+  return op.PushBatch(batch);
+}
+
 TEST(PartitionTest, ValidatesRegions) {
   EXPECT_FALSE(PartitionOperator::Make("p", {geom::Rect(0, 0, 1, 1)}).ok());
   // Overlapping regions rejected.
@@ -40,9 +57,9 @@ TEST(PartitionTest, RoutesByRegion) {
   auto right = SinkOperator::Make("right").MoveValue();
   partition->AddOutput(left.get());
   partition->AddOutput(right.get());
-  ASSERT_TRUE(partition->Push(TupleAt({0.0, 0.5, 1.0})).ok());
-  ASSERT_TRUE(partition->Push(TupleAt({0.0, 1.5, 1.0})).ok());
-  ASSERT_TRUE(partition->Push(TupleAt({0.0, 0.2, 0.2})).ok());
+  ASSERT_TRUE(PushOne(*partition, TupleAt({0.0, 0.5, 1.0})).ok());
+  ASSERT_TRUE(PushOne(*partition, TupleAt({0.0, 1.5, 1.0})).ok());
+  ASSERT_TRUE(PushOne(*partition, TupleAt({0.0, 0.2, 0.2})).ok());
   EXPECT_EQ(left->tuples().size(), 2u);
   EXPECT_EQ(right->tuples().size(), 1u);
   EXPECT_EQ(partition->unrouted(), 0u);
@@ -55,10 +72,10 @@ TEST(PartitionTest, CountsUnroutedTuples) {
   auto sink = SinkOperator::Make("s").MoveValue();
   partition->AddOutput(sink.get());
   // Outside both regions.
-  ASSERT_TRUE(partition->Push(TupleAt({0.0, 5.0, 5.0})).ok());
+  ASSERT_TRUE(PushOne(*partition, TupleAt({0.0, 5.0, 5.0})).ok());
   EXPECT_EQ(partition->unrouted(), 1u);
   // In region 1 but branch 1 not connected: counted, not an error.
-  ASSERT_TRUE(partition->Push(TupleAt({0.0, 1.5, 0.5})).ok());
+  ASSERT_TRUE(PushOne(*partition, TupleAt({0.0, 1.5, 0.5})).ok());
   EXPECT_EQ(partition->unrouted(), 2u);
   EXPECT_EQ(sink->tuples().size(), 0u);
 }
@@ -78,9 +95,7 @@ TEST(PartitionTest, PreservesRatePerRegion) {
   auto b = SinkOperator::Make("b", 1 << 22).MoveValue();
   partition->AddOutput(a.get());
   partition->AddOutput(b.get());
-  for (const auto& p : *points) {
-    ASSERT_TRUE(partition->Push(TupleAt(p)).ok());
-  }
+  ASSERT_TRUE(PushPoints(*partition, *points).ok());
   // Expected counts: 8 * area * 60.
   EXPECT_GT(PoissonTwoSidedPValue(8.0 * 2.0 * 60.0,
                                   static_cast<double>(a->tuples().size())),
@@ -104,7 +119,7 @@ TEST(PartitionTest, KWayRouting) {
     partition->AddOutput(sinks.back().get());
   }
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(partition->Push(TupleAt({0.0, i + 0.5, 0.5})).ok());
+    ASSERT_TRUE(PushOne(*partition, TupleAt({0.0, i + 0.5, 0.5})).ok());
   }
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(sinks[i]->tuples().size(), 1u) << i;
@@ -165,12 +180,8 @@ TEST(UnionTest, MergesStreamsAndPreservesRate) {
   auto u = UnionOperator::Make("u", {left, right}).MoveValue();
   auto sink = SinkOperator::Make("s", 1 << 22).MoveValue();
   u->AddOutput(sink.get());
-  for (const auto& p : *pl) {
-    ASSERT_TRUE(u->Push(TupleAt(p)).ok());
-  }
-  for (const auto& p : *pr) {
-    ASSERT_TRUE(u->Push(TupleAt(p)).ok());
-  }
+  ASSERT_TRUE(PushPoints(*u, *pl).ok());
+  ASSERT_TRUE(PushPoints(*u, *pr).ok());
   EXPECT_EQ(sink->tuples().size(), pl->size() + pr->size());
   EXPECT_EQ(u->out_of_region(), 0u);
   // Combined region volume = 8 km^2 * 50 min.
@@ -185,7 +196,7 @@ TEST(UnionTest, CountsOutOfRegionTuples) {
                .MoveValue();
   auto sink = SinkOperator::Make("s").MoveValue();
   u->AddOutput(sink.get());
-  ASSERT_TRUE(u->Push(TupleAt({0.0, 9.0, 9.0})).ok());
+  ASSERT_TRUE(PushOne(*u, TupleAt({0.0, 9.0, 9.0})).ok());
   EXPECT_EQ(u->out_of_region(), 1u);
   // Still forwarded (diagnostic, not a filter).
   EXPECT_EQ(sink->tuples().size(), 1u);

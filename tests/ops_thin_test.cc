@@ -19,6 +19,16 @@ Tuple TupleAt(const geom::SpaceTimePoint& p) {
   return tuple;
 }
 
+/// Pushes a point stream as one batch, in arrival order.
+Status PushPoints(Operator& op,
+                  const std::vector<geom::SpaceTimePoint>& points) {
+  TupleBatch batch;
+  for (const auto& p : points) {
+    batch.Append(TupleAt(p));
+  }
+  return op.PushBatch(batch);
+}
+
 TEST(ThinTest, ValidatesRates) {
   EXPECT_FALSE(ThinOperator::Make("t", 0.0, 1.0, Rng(1)).ok());
   EXPECT_FALSE(ThinOperator::Make("t", 2.0, 0.0, Rng(1)).ok());
@@ -61,9 +71,7 @@ TEST_P(ThinRateTest, OutputRateMatchesTarget) {
   auto thin = ThinOperator::Make("t", lambda1, lambda2, Rng(32)).MoveValue();
   auto sink = SinkOperator::Make("sink", 1 << 22).MoveValue();
   thin->AddOutput(sink.get());
-  for (const auto& p : *input) {
-    ASSERT_TRUE(thin->Push(TupleAt(p)).ok());
-  }
+  ASSERT_TRUE(PushPoints(*thin, *input).ok());
   const double expected = lambda2 * w.Volume();
   EXPECT_GT(PoissonTwoSidedPValue(
                 expected, static_cast<double>(sink->tuples().size())),
@@ -84,9 +92,7 @@ TEST(ThinTest, OutputRemainsHomogeneous) {
   auto thin = ThinOperator::Make("t", 15.0, 5.0, Rng(34)).MoveValue();
   auto sink = SinkOperator::Make("sink", 1 << 22).MoveValue();
   thin->AddOutput(sink.get());
-  for (const auto& p : *input) {
-    ASSERT_TRUE(thin->Push(TupleAt(p)).ok());
-  }
+  ASSERT_TRUE(PushPoints(*thin, *input).ok());
   std::vector<geom::SpaceTimePoint> retained;
   for (const auto& t : sink->tuples()) {
     retained.push_back(t.point);
@@ -108,9 +114,7 @@ TEST(ThinTest, ThinningIsIndependentOfPosition) {
   auto thin = ThinOperator::Make("t", 25.0, 10.0, Rng(36)).MoveValue();
   auto sink = SinkOperator::Make("sink", 1 << 22).MoveValue();
   thin->AddOutput(sink.get());
-  for (const auto& p : *input) {
-    ASSERT_TRUE(thin->Push(TupleAt(p)).ok());
-  }
+  ASSERT_TRUE(PushPoints(*thin, *input).ok());
   std::size_t left_in = 0;
   std::size_t left_out = 0;
   for (const auto& p : *input) {
@@ -137,9 +141,7 @@ TEST(ThinTest, ChainedThinsComposeRates) {
   auto sink = SinkOperator::Make("sink", 1 << 22).MoveValue();
   t1->AddOutput(t2.get());
   t2->AddOutput(sink.get());
-  for (const auto& p : *input) {
-    ASSERT_TRUE(t1->Push(TupleAt(p)).ok());
-  }
+  ASSERT_TRUE(PushPoints(*t1, *input).ok());
   const double expected = 2.0 * w.Volume();
   EXPECT_GT(PoissonTwoSidedPValue(
                 expected, static_cast<double>(sink->tuples().size())),

@@ -33,10 +33,10 @@ fabric::FabricConfig TestFabricConfig() {
 
 /// Deterministic batch of `n` tuples spread over the grid, with times
 /// advancing from *t (monotone across batches, as the handler produces).
-std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
-                                  std::uint64_t first_id) {
-  std::vector<ops::Tuple> batch;
-  batch.reserve(n);
+ops::TupleBatch MakeBatch(Rng* rng, double* t, std::size_t n,
+                          std::uint64_t first_id) {
+  ops::TupleBatch batch;
+  batch.Reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ops::Tuple tuple;
     tuple.id = first_id + i;
@@ -44,7 +44,7 @@ std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
     *t += 0.002;
     tuple.point = geom::SpaceTimePoint{*t, rng->Uniform(0.0, 4.0),
                                        rng->Uniform(0.0, 4.0)};
-    batch.push_back(tuple);
+    batch.Append(tuple);
   }
   return batch;
 }
@@ -141,7 +141,7 @@ void RunFabricatorRoundTrip(const RoundTripVariant& variant) {
   Rng rng(424242);
   double t = 0.0;
   std::uint64_t next_id = 1;
-  std::vector<std::vector<ops::Tuple>> tape;
+  std::vector<ops::TupleBatch> tape;
   for (std::size_t b = 0; b < 11; ++b) {
     tape.push_back(MakeBatch(&rng, &t, 96, next_id));
     next_id += tape.back().size();
@@ -185,7 +185,9 @@ void RunFabricatorRoundTrip(const RoundTripVariant& variant) {
     slot.clear();
   }
   for (std::size_t b = 6; b < tape.size(); ++b) {
-    ASSERT_TRUE(original->ProcessBatch(tape[b]).ok());
+    ops::TupleBatch copy;
+    copy.CopyFrom(tape[b]);
+    ASSERT_TRUE(original->ProcessBatch(copy).ok());
     ASSERT_TRUE(restored->ProcessBatch(tape[b]).ok());
   }
   std::uint64_t total = 0;

@@ -30,10 +30,10 @@ fabric::FabricConfig TestFabricConfig() {
   return config;
 }
 
-std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
-                                  std::uint64_t first_id) {
-  std::vector<ops::Tuple> batch;
-  batch.reserve(n);
+ops::TupleBatch MakeBatch(Rng* rng, double* t, std::size_t n,
+                          std::uint64_t first_id) {
+  ops::TupleBatch batch;
+  batch.Reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ops::Tuple tuple;
     tuple.id = first_id + i;
@@ -41,7 +41,7 @@ std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
     *t += 0.002;
     tuple.point = geom::SpaceTimePoint{*t, rng->Uniform(0.0, 4.0),
                                        rng->Uniform(0.0, 4.0)};
-    batch.push_back(tuple);
+    batch.Append(tuple);
   }
   return batch;
 }

@@ -35,10 +35,10 @@ fabric::FabricConfig TestFabricConfig() {
 
 /// Deterministic batch of `n` tuples spread over the grid, with times
 /// advancing from *t (monotone across batches, as the handler produces).
-std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
-                                  std::uint64_t first_id) {
-  std::vector<ops::Tuple> batch;
-  batch.reserve(n);
+ops::TupleBatch MakeBatch(Rng* rng, double* t, std::size_t n,
+                          std::uint64_t first_id) {
+  ops::TupleBatch batch;
+  batch.Reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ops::Tuple tuple;
     tuple.id = first_id + i;
@@ -46,7 +46,7 @@ std::vector<ops::Tuple> MakeBatch(Rng* rng, double* t, std::size_t n,
     *t += 0.002;
     tuple.point = geom::SpaceTimePoint{*t, rng->Uniform(0.0, 4.0),
                                        rng->Uniform(0.0, 4.0)};
-    batch.push_back(tuple);
+    batch.Append(tuple);
   }
   return batch;
 }
@@ -331,7 +331,7 @@ TEST(ShardedEpochTest, DrainThroughReleasesFeedbackExactlyPerEpoch) {
     double t = 0.0;
     std::uint64_t next_id = 1;
     for (std::size_t b = 0; b < kBatches; ++b) {
-      batches.push_back(MakeBatch(&rng, &t, 96, next_id));
+      batches.push_back(MakeBatch(&rng, &t, 96, next_id).ToTuples());
       next_id += batches.back().size();
     }
   }
@@ -350,7 +350,8 @@ TEST(ShardedEpochTest, DrainThroughReleasesFeedbackExactlyPerEpoch) {
                              report.violation_percent});
     });
     for (const auto& batch : batches) {
-      ASSERT_TRUE(fab->ProcessBatch(batch).ok());
+      ops::TupleBatch columns(batch);
+      ASSERT_TRUE(fab->ProcessBatch(columns).ok());
       ref_boundary_counts.push_back(ref_records.size());
     }
   }
@@ -402,7 +403,7 @@ TEST(ShardedEpochTest, EpochsMustBeMonotone) {
   auto fab = ShardedFabricator::Make(TestGrid(), config).MoveValue();
   Rng rng(9);
   double t = 0.0;
-  auto batch = MakeBatch(&rng, &t, 8, 1);
+  const auto batch = MakeBatch(&rng, &t, 8, 1).ToTuples();
   ops::TupleBatch columns(batch);
   ASSERT_TRUE(fab->EnqueueBatch(columns, 5).ok());
   columns = ops::TupleBatch(batch);
@@ -609,8 +610,8 @@ TEST(ShardedStressTest, DestructorJoinsWorkersWithQueuedWork) {
   Rng rng(5);
   double t = 0.0;
   for (int b = 0; b < 8; ++b) {
-    ASSERT_TRUE(
-        fab->EnqueueBatch(MakeBatch(&rng, &t, 32, 1 + 32 * b)).ok());
+    auto batch = MakeBatch(&rng, &t, 32, 1 + 32 * b);
+    ASSERT_TRUE(fab->EnqueueBatch(batch).ok());
   }
   // Destruction with work still queued must not hang or crash.
   fab.reset();

@@ -97,13 +97,13 @@ TEST(HandlerTest, StepDeliversArrivedResponsesInTimeOrder) {
   ASSERT_TRUE(handler.Subscribe(rig.attribute, geom::CellIndex{1, 1}).ok());
 
   std::vector<ops::Tuple> all;
+  ops::TupleBatch batch;
   for (double now = 1.0; now <= 10.0; now += 1.0) {
-    const auto batch = handler.Step(now);
-    ASSERT_TRUE(batch.ok());
-    for (const auto& tuple : *batch) {
+    ASSERT_TRUE(handler.Step(now, &batch).ok());
+    batch.ForEach([&all, now](const ops::Tuple& tuple) {
       EXPECT_LE(tuple.point.t, now);
       all.push_back(tuple);
-    }
+    });
   }
   ASSERT_GT(all.size(), 50u);
   for (std::size_t i = 1; i < all.size(); ++i) {
@@ -119,7 +119,8 @@ TEST(HandlerTest, BudgetControlsRequestVolume) {
       RequestResponseHandler::Make(&rig.world, &rig.budgets, rig.grid)
           .MoveValue();
   ASSERT_TRUE(handler.Subscribe(rig.attribute, geom::CellIndex{0, 0}).ok());
-  ASSERT_TRUE(handler.Step(1.0).ok());
+  ops::TupleBatch batch;
+  ASSERT_TRUE(handler.Step(1.0, &batch).ok());
   // One subscription, two dispatch rounds (t=0-ish baseline + t=1), budget 8.
   const auto after_one = handler.requests_sent();
   EXPECT_GT(after_one, 0u);
@@ -127,7 +128,7 @@ TEST(HandlerTest, BudgetControlsRequestVolume) {
   for (int i = 0; i < 10; ++i) {
     rig.budgets.ReportViolation(BudgetKey{rig.attribute, {0, 0}}, 50.0);
   }
-  ASSERT_TRUE(handler.Step(2.0).ok());
+  ASSERT_TRUE(handler.Step(2.0, &batch).ok());
   const auto delta = handler.requests_sent() - after_one;
   EXPECT_GT(delta, 8u);
 }
@@ -147,15 +148,15 @@ TEST(HandlerTest, PendingResponsesAgeOut) {
       RequestResponseHandler::Make(&rig.world, &rig.budgets, rig.grid)
           .MoveValue();
   ASSERT_TRUE(handler.Subscribe(*rain_id, geom::CellIndex{1, 1}).ok());
-  const auto first = handler.Step(1.0);
-  ASSERT_TRUE(first.ok());
+  ops::TupleBatch first;
+  ASSERT_TRUE(handler.Step(1.0, &first).ok());
   EXPECT_GT(handler.pending_responses(), 0u);
   // Stop asking; by t=60 every in-flight response has arrived and drained.
   ASSERT_TRUE(handler.Unsubscribe(*rain_id, geom::CellIndex{1, 1}).ok());
-  const auto later = handler.Step(60.0);
-  ASSERT_TRUE(later.ok());
+  ops::TupleBatch later;
+  ASSERT_TRUE(handler.Step(60.0, &later).ok());
   EXPECT_EQ(handler.pending_responses(), 0u);
-  EXPECT_GT(later->size(), 0u);
+  EXPECT_GT(later.size(), 0u);
 }
 
 TEST(HandlerTest, IncentiveAccessors) {
@@ -175,9 +176,9 @@ TEST(HandlerTest, NoSubscriptionsNoRequests) {
   auto handler =
       RequestResponseHandler::Make(&rig.world, &rig.budgets, rig.grid)
           .MoveValue();
-  const auto batch = handler.Step(5.0);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_TRUE(batch->empty());
+  ops::TupleBatch batch;
+  ASSERT_TRUE(handler.Step(5.0, &batch).ok());
+  EXPECT_TRUE(batch.empty());
   EXPECT_EQ(handler.requests_sent(), 0u);
 }
 
