@@ -52,9 +52,9 @@ class Counter;  // obs/metrics.h — sharing telemetry counters
 /// chain through `Operator::PushBatch` with the handler batch itself,
 /// its group adopted as the selection — routing copies no tuple, and the
 /// hot path pays one virtual call per operator per batch instead of per
-/// tuple. F-operator violation reports are buffered
-/// while a batch is in flight and replayed at the batch boundary sorted
-/// by `FlattenBatchReport::completed_at` — the canonical simulation-time
+/// tuple. F-operator violation reports are buffered while a batch is in
+/// flight and replayed at the batch boundary sorted by
+/// `FlattenBatchReport::completed_at` — the canonical simulation-time
 /// order that the sharded runtime reproduces for any shard count.
 ///
 /// Query insertion and deletion follow the paper's topology-surgery rules:

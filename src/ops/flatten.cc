@@ -74,9 +74,10 @@ Status FlattenOperator::PushBatch(TupleBatch& batch) {
     return PushOnlineBatch(batch);
   }
   // Column-copy the active rows into the estimation buffer, firing each
-  // time it holds batch_size tuples. The caller's storage is left in place (it may be shared across Partition
-  // ports). A batch that leaves the buffer short of batch_size holds no
-  // firing boundary and is appended in one bulk copy.
+  // time it holds batch_size tuples. The caller's storage is left in
+  // place (it may be shared across Partition ports). A batch that leaves
+  // the buffer short of batch_size holds no firing boundary and is
+  // appended in one bulk copy.
   if (buffer_.size() + batch.size() < config_.batch_size) {
     buffer_.AppendActiveFrom(batch);
     return Status::OK();

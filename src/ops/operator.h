@@ -92,10 +92,10 @@ class Operator {
   ///  - **ordering**: active tuples arrive in stream order and
   ///    implementations process them — and in particular draw randomness
   ///    — in that order, one tuple after another. An operator's output
-  ///    therefore depends only on the sequence of tuples it has received,
-  ///    not on how that sequence was cut into batches: buffering
-  ///    operators fire at the same tuple counts, and each emitted batch
-  ///    keeps arrival order. When one operator consumes several upstream
+  ///    therefore depends only on the sequence of tuples it has received
+  ///    and the Flush calls between them, not on how that sequence was
+  ///    cut into batches: buffering operators fire at the same tuple
+  ///    counts, and each emitted batch keeps arrival order. When one operator consumes several upstream
   ///    edges (two Partition branches, or a multi-cell query's merge head
   ///    fed by several cell chains), it sees each edge's subsequence in
   ///    order, with the edges' batches interleaved in the order the

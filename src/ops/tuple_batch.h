@@ -249,7 +249,7 @@ class TupleBatch {
 
   /// Invokes `fn(const Tuple&)` on every active tuple in arrival order,
   /// materializing each row (56 flat bytes). Row-at-a-time boundaries
-  /// (base-class Push fallback, sink storage, user predicates) only.
+  /// (sink storage, user predicates, tests) only.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     ForEachRaw([this, &fn](std::uint32_t raw) {

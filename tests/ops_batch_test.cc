@@ -114,7 +114,7 @@ std::vector<Tuple> MakeStream(std::size_t n, double span = 4.0) {
   return tuples;
 }
 
-/// Drives `head` with the same stream as batches of varying sizes
+/// Drives `head` with the stream as batches of varying sizes
 /// (exercising batch boundaries that do not line up with anything).
 void DriveBatched(Operator* head, const std::vector<Tuple>& stream) {
   const std::size_t sizes[] = {1, 7, 64, 3, 129, 31};
